@@ -161,17 +161,13 @@ def spin_matrix(basis: FockBasis, i: int, j: int) -> sparse.csc_array:
             sparse.diags_array(basis.states[:, i].astype(float))
         )
     src = np.nonzero(basis.states[:, j] > 0)[0]
-    data = np.empty(src.size, dtype=float)
-    rows = np.empty(src.size, dtype=np.int64)
-    for idx, col in enumerate(src):
-        n = basis.states[col]
-        m = n.copy()
-        m[i] += 1
-        m[j] -= 1
-        rows[idx] = basis.rank(m)
-        data[idx] = np.sqrt((n[i] + 1.0) * n[j])
+    n = basis.states[src]
+    hopped = n.copy()
+    hopped[:, i] += 1
+    hopped[:, j] -= 1
+    data = np.sqrt((n[:, i] + 1.0) * n[:, j])
     return sparse.csc_array(
-        (data, (rows, src)), shape=(basis.size, basis.size)
+        (data, (basis.rank(hopped), src)), shape=(basis.size, basis.size)
     )
 
 

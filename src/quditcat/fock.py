@@ -79,21 +79,45 @@ class FockBasis:
         return f"FockBasis(D={self.D}, N={self.N}, size={self.size})"
 
     @cached_property
-    def _index(self) -> dict:
-        return {tuple(row): i for i, row in enumerate(self.states.tolist())}
+    def _rank_table(self) -> np.ndarray:
+        # entry [s, j - 1] = binom(s + j - 1, j): the compositions that
+        # precede a state whose last j levels hold s particles, summed over
+        # the larger heads the enumeration puts first (hockey-stick identity)
+        table = [
+            [math.comb(s + j - 1, j) for j in range(1, self.D)]
+            for s in range(self.N + 1)
+        ]
+        out = np.array(table, dtype=np.int64)
+        out.setflags(write=False)
+        return out
 
-    def rank(self, n) -> int:
-        """Index of occupation vector `n` in the enumeration order."""
+    def rank(self, n) -> int | np.ndarray:
+        """Index of occupation vector `n` in the enumeration order.
+
+        Accepts one vector (D,), returning an int, or a batch (m, D),
+        returning an int array; an invalid row raises the same ValueError
+        as the scalar call on that row.
+        """
         n = np.asarray(n, dtype=np.int64)
-        if n.shape != (self.D,):
+        single = n.ndim == 1
+        rows = n[None, :] if single else n
+        if rows.ndim != 2 or rows.shape[1] != self.D:
             raise ValueError(f"occupation vector must have {self.D} entries")
-        if np.any(n < 0):
-            raise ValueError(f"negative occupation in {n.tolist()}")
-        if int(n.sum()) != self.N:
+        bad = np.nonzero(np.any(rows < 0, axis=1))[0]
+        if bad.size:
+            raise ValueError(f"negative occupation in {rows[bad[0]].tolist()}")
+        totals = rows.sum(axis=1)
+        bad = np.nonzero(totals != self.N)[0]
+        if bad.size:
+            row = rows[bad[0]]
             raise ValueError(
-                f"occupation {n.tolist()} sums to {int(n.sum())}, expected {self.N}"
+                f"occupation {row.tolist()} sums to {int(totals[bad[0]])}, "
+                f"expected {self.N}"
             )
-        return self._index[tuple(n.tolist())]
+        # particles in levels p..D-1 for p = 1..D-1, i.e. in the last D - p
+        tails = np.cumsum(rows[:, :0:-1], axis=1)[:, ::-1]
+        idx = self._rank_table[tails, np.arange(self.D - 2, -1, -1)].sum(axis=1)
+        return int(idx[0]) if single else idx
 
     def unrank(self, i: int) -> np.ndarray:
         """Occupation vector stored at index `i`."""

@@ -6,10 +6,12 @@ The density-normalized Hamiltonian acting on the symmetric N-quDit space is
 
 with a one-body ladder of equally spaced levels and a two-body term that
 scatters particle pairs between levels.  Pair scattering conserves every
-level-population parity, so H is block diagonal over the Z2^(D-1) sectors
-and each eigenstate carries a definite parity label; exactly degenerate
-clusters are rotated into the simultaneous parity eigenbasis so that the
-classification stays deterministic.
+level-population parity, so H is block diagonal over the Z2^(D-1) sectors.
+H is assembled as a sparse matrix and each sector block is solved on its
+own, so every eigenstate carries its sector label by construction.  Levels
+are merged in energy order; only levels that tie within the solver's
+accuracy are ordered by label, which keeps exactly degenerate clusters
+deterministic.
 
 Level indices are 0-based throughout: for D = 3 the one-body term reads
 (eps/N)(S_22 - S_00).
@@ -22,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .coherent import SymmetricState, spin_matrix
 from .fock import FockBasis
-from .parity import all_parity_labels, sector_mask
+from .parity import all_parity_labels
 
-CLUSTER_GAP = 1e-10
 RESIDUAL_TOL = 1e-10
+# levels closer than TIE_ULPS * eps * scale are equal to solver accuracy
+TIE_ULPS = 64
 
 
 class DiagonalizationError(Exception):
@@ -66,8 +70,10 @@ class LMGParams:
         return self.lambda1 is not None or self.lambda2 is not None
 
 
-def build_hamiltonian(params: LMGParams, basis: FockBasis | None = None) -> np.ndarray:
-    """Dense real symmetric LMG Hamiltonian over the symmetric Fock basis."""
+def build_hamiltonian(
+    params: LMGParams, basis: FockBasis | None = None
+) -> sparse.csr_array:
+    """Sparse real symmetric LMG Hamiltonian over the symmetric Fock basis."""
     if basis is None:
         basis = FockBasis(params.D, params.N)
     if basis.D != params.D or basis.N != params.N:
@@ -101,8 +107,7 @@ def build_hamiltonian(params: LMGParams, basis: FockBasis | None = None) -> np.n
         H = (params.epsilon / N) * one_body - (
             params.lam / (N * (N - 1))
         ) * pair_hop
-    dense = H.toarray()
-    return (dense + dense.T) / 2.0
+    return sparse.csr_array((H + H.T) / 2.0)
 
 
 @dataclass
@@ -113,8 +118,8 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     eigenstates: list[SymmetricState]
     parities: list[tuple[int, ...]]
-    certainties: np.ndarray
-    mixed: np.ndarray  # True where certainty < 1 - 1e-8 (degenerate-mixed)
+    certainties: np.ndarray  # 1 throughout: labels come from the sector solve
+    mixed: np.ndarray  # False throughout: no eigenstate mixes sectors
 
 
 def classify_parity(state: SymmetricState) -> tuple[tuple[int, ...], float]:
@@ -133,88 +138,71 @@ def classify_parity(state: SymmetricState) -> tuple[tuple[int, ...], float]:
     return bits, float(weights[code])
 
 
-def _rotate_cluster(basis: FockBasis, vecs: np.ndarray) -> np.ndarray | None:
-    """Rotate a degenerate cluster into parity-pure vectors, or None."""
-    m = vecs.shape[1]
-    pieces = []
-    for label in all_parity_labels(basis.D):
-        block = vecs * sector_mask(basis, label)[:, None]
-        u, s, _ = np.linalg.svd(block, full_matrices=False)
-        pieces.extend(u[:, i] for i in range(m) if s[i] > 1e-6)
-    if len(pieces) != m:
-        return None
-    return np.stack(pieces, axis=1)
-
-
 def diagonalize(
-    H: np.ndarray,
-    basis: FockBasis,
-    k: int | None = None,
-    cluster_gap: float = CLUSTER_GAP,
+    H: sparse.sparray | np.ndarray, basis: FockBasis, k: int | None = None
 ) -> SpectrumResult:
-    """Dense symmetric eigendecomposition with parity classification.
+    """Lowest k eigenpairs (all when k is None), solved per parity sector.
 
-    Returns the k lowest eigenpairs (all when k is None).  Clusters with
-    eigenvalue gaps below cluster_gap are re-orthonormalized inside the
-    simultaneous parity eigenbasis, ordered by parity label, so repeated
-    runs give identical labels even for numerically degenerate states.
+    Each sector block of H is solved with dense eigh and embedded back into
+    the full basis, so labels are exact.  Levels come back in ascending
+    energy; levels within TIE_ULPS * eps * scale of each other are ordered
+    by parity label instead, so repeated runs give identical labels even
+    for numerically degenerate states.
     """
     dim = H.shape[0]
     if H.shape != (dim, dim) or dim != basis.size:
         raise ValueError("matrix does not match basis size")
-    scale = float(np.max(np.sum(np.abs(H), axis=1)))
-
     if k is None:
-        vals, vecs = scipy.linalg.eigh(H)
-    else:
-        if not 1 <= k <= dim:
-            raise ValueError(f"k must lie in 1..{dim}")
-        # pull extra pairs until the cluster holding index k-1 closes, so a
-        # degenerate group is never cut at the subset boundary
-        k_eff = min(dim, k + 2 ** (basis.D - 1))
-        while True:
-            vals, vecs = scipy.linalg.eigh(H, subset_by_index=(0, k_eff - 1))
-            tail_gaps = np.diff(vals[k - 1 :])
-            if k_eff == dim or np.any(tail_gaps > cluster_gap):
-                break
-            k_eff = min(dim, 2 * k_eff)
+        k = dim
+    elif not 1 <= k <= dim:
+        raise ValueError(f"k must lie in 1..{dim}")
+    H = sparse.csr_array(H)
+    scale = max(float(abs(H).sum(axis=1).max()), 1.0)
 
-    residual = np.linalg.norm(H @ vecs - vecs * vals[None, :], axis=0)
-    if np.any(residual > RESIDUAL_TOL * max(scale, 1.0)):
-        raise DiagonalizationError(
-            f"eigenpair residual {residual.max():.3e} exceeds "
-            f"{RESIDUAL_TOL * max(scale, 1.0):.3e}"
-        )
-
-    # split into near-degenerate clusters and rotate each to parity purity
-    splits = np.nonzero(np.diff(vals) > cluster_gap)[0] + 1
-    blocks = np.split(np.arange(len(vals)), splits)
-    for block in blocks:
-        if len(block) < 2:
+    codes = basis.sector_codes
+    energies, sectors, columns = [], [], []
+    for code in range(2 ** (basis.D - 1)):
+        idx = np.nonzero(codes == code)[0]
+        if idx.size == 0:
             continue
-        rotated = _rotate_cluster(basis, vecs[:, block])
-        if rotated is not None:
-            labels = [
-                classify_parity(SymmetricState(basis, rotated[:, i]))[0]
-                for i in range(rotated.shape[1])
-            ]
-            order = sorted(range(len(labels)), key=labels.__getitem__)
-            vecs[:, block] = rotated[:, order]
+        block = H[idx][:, idx]
+        vals, vecs = scipy.linalg.eigh(
+            block.toarray(), subset_by_index=(0, min(k, idx.size) - 1)
+        )
+        residual = np.linalg.norm(block @ vecs - vecs * vals[None, :], axis=0)
+        if np.any(residual > RESIDUAL_TOL * scale):
+            raise DiagonalizationError(
+                f"eigenpair residual {residual.max():.3e} exceeds "
+                f"{RESIDUAL_TOL * scale:.3e}"
+            )
+        energies.append(vals)
+        sectors.append(np.full(vals.size, code))
+        columns.extend((idx, vecs[:, i]) for i in range(vals.size))
+    energies = np.concatenate(energies)
+    sectors = np.concatenate(sectors)
 
-    if k is not None:
-        vals = vals[:k]
-        vecs = vecs[:, :k]
+    # clusters break where neighbouring levels are further apart than the
+    # solver can resolve; inside a cluster the parity label decides
+    tie = TIE_ULPS * np.finfo(float).eps * scale
+    by_energy = np.argsort(energies, kind="stable")
+    cluster = np.empty_like(by_energy)
+    cluster[by_energy] = np.cumsum(np.r_[0, np.diff(energies[by_energy]) > tie])
+    order = np.lexsort((energies, sectors, cluster))[:k]
 
-    states = [SymmetricState(basis, vecs[:, i]) for i in range(vecs.shape[1])]
-    labels, certainties = zip(*(classify_parity(s) for s in states))
-    certainties = np.asarray(certainties)
+    labels = all_parity_labels(basis.D)
+    states = []
+    for i in order:
+        idx, vec = columns[i]
+        coeffs = np.zeros(dim)
+        coeffs[idx] = vec
+        states.append(SymmetricState(basis, coeffs))
     return SpectrumResult(
         basis=basis,
-        eigenvalues=vals,
-        eigenstates=list(states),
-        parities=list(labels),
-        certainties=certainties,
-        mixed=certainties < 1.0 - 1e-8,
+        eigenvalues=energies[order],
+        eigenstates=states,
+        parities=[labels[c] for c in sectors[order]],
+        certainties=np.ones(order.size),
+        mixed=np.zeros(order.size, dtype=bool),
     )
 
 

@@ -228,7 +228,5 @@ def dcat(basis: FockBasis, spec: CatSpec) -> SymmetricState:
     shift[1:][zero_idx] = added
     coeffs = np.zeros(basis.size, dtype=complex)
     src = np.nonzero(coeffs_reduced)[0]
-    for idx in src:
-        target = reduced_basis.states[idx] + shift
-        coeffs[basis.rank(target)] = coeffs_reduced[idx]
+    coeffs[basis.rank(reduced_basis.states[src] + shift)] = coeffs_reduced[src]
     return SymmetricState(basis, coeffs)

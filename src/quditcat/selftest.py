@@ -76,7 +76,7 @@ def check_projectors(D: int = 4, N: int = 7, seed: int = 5) -> None:
 def check_hamiltonian_parity(D: int = 3, N: int = 12, lam: float = 1.3) -> None:
     """[H, Pi_j] = 0 exactly: H never couples different parity sectors."""
     basis = FockBasis(D, N)
-    H = build_hamiltonian(LMGParams(D, N, 1.0, lam), basis)
+    H = build_hamiltonian(LMGParams(D, N, 1.0, lam), basis).toarray()
     for j in range(1, D):
         signs = np.where(basis.states[:, j] % 2 == 1, -1.0, 1.0)
         comm = H * signs[None, :] - signs[:, None] * H

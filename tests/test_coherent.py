@@ -103,6 +103,20 @@ def test_spin_matrix_one_entry_per_column():
         assert per_col.max() <= 1
 
 
+def test_spin_matrix_matches_per_state_loop():
+    # the batched construction against one scalar rank call per state
+    basis = shared_basis(4, 6)
+    for i, j in itertools.permutations(range(4), 2):
+        expected = np.zeros((basis.size, basis.size))
+        for col, n in enumerate(basis.states):
+            if n[j] > 0:
+                m = n.copy()
+                m[i] += 1
+                m[j] -= 1
+                expected[basis.rank(m), col] = np.sqrt((n[i] + 1.0) * n[j])
+        assert np.array_equal(spin_matrix(basis, i, j).toarray(), expected)
+
+
 def test_spin_matrix_rejects_bad_levels():
     basis = shared_basis(3, 4)
     with pytest.raises(ValueError):

@@ -71,6 +71,34 @@ def test_rank_unrank_roundtrip_exhaustive():
         assert basis.rank(basis.unrank(i)) == i
 
 
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+@pytest.mark.parametrize("N", [0, 1, 7, 30])
+def test_batched_rank_matches_enumeration_and_scalar_calls(D, N):
+    basis = FockBasis(D, N)
+    ranks = basis.rank(basis.states)
+    assert np.array_equal(ranks, np.arange(basis.size))
+    step = max(1, basis.size // 40)
+    for i in range(0, basis.size, step):
+        scalar = basis.rank(basis.states[i])
+        assert isinstance(scalar, int) and scalar == ranks[i]
+
+
+def test_batched_rank_rejects_an_invalid_row_like_the_scalar_call():
+    basis = FockBasis(3, 5)
+    good = basis.states[:4]
+    for bad in ([4, 0, 0], [6, -1, 0]):
+        with pytest.raises(ValueError) as scalar:
+            basis.rank(bad)
+        with pytest.raises(ValueError) as batched:
+            basis.rank(np.vstack([good[:2], bad, good[2:]]))
+        assert str(batched.value) == str(scalar.value)
+    with pytest.raises(ValueError) as scalar:
+        basis.rank([5, 0])
+    with pytest.raises(ValueError) as batched:
+        basis.rank(np.zeros((3, 2), dtype=int))
+    assert str(batched.value) == str(scalar.value)
+
+
 def test_size_matches_binomial_full_grid():
     for D in range(2, 6):
         for N in range(0, 31):

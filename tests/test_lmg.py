@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ def test_params_validation():
 
 def test_free_spectrum_d2():
     basis = shared_basis(2, 2)
-    H = build_hamiltonian(LMGParams(2, 2, 1.0, 0.0), basis)
+    H = build_hamiltonian(LMGParams(2, 2, 1.0, 0.0), basis).toarray()
     assert np.allclose(np.sort(np.linalg.eigvalsh(H)), [-1.0, 0.0, 1.0], atol=1e-14)
 
 
@@ -46,14 +47,14 @@ def test_free_spectrum_d3_lowest():
 
 def test_hamiltonian_is_exactly_symmetric_and_real():
     basis = shared_basis(3, 11)
-    H = build_hamiltonian(LMGParams(3, 11, 1.0, 0.75), basis)
+    H = build_hamiltonian(LMGParams(3, 11, 1.0, 0.75), basis).toarray()
     assert H.dtype == np.float64
     assert np.array_equal(H, H.T)
 
 
 def test_hamiltonian_parity_blocks_exact():
     basis = shared_basis(3, 10)
-    H = build_hamiltonian(LMGParams(3, 10, 1.0, 1.3), basis)
+    H = build_hamiltonian(LMGParams(3, 10, 1.0, 1.3), basis).toarray()
     codes = basis.sector_codes
     cross = codes[:, None] != codes[None, :]
     assert np.all(H[cross] == 0.0)
@@ -61,7 +62,7 @@ def test_hamiltonian_parity_blocks_exact():
 
 def test_hamiltonian_commutes_with_level_parities():
     basis = shared_basis(3, 9)
-    H = build_hamiltonian(LMGParams(3, 9, 1.0, 2.0), basis)
+    H = build_hamiltonian(LMGParams(3, 9, 1.0, 2.0), basis).toarray()
     for j in range(1, 3):
         signs = np.where(basis.states[:, j] % 2 == 1, -1.0, 1.0)
         assert np.all(H * signs[None, :] - signs[:, None] * H == 0.0)
@@ -70,17 +71,19 @@ def test_hamiltonian_commutes_with_level_parities():
 def test_general_mode_reduces_to_density_mode():
     N = 8
     basis = shared_basis(3, N)
-    dens = build_hamiltonian(LMGParams(3, N, 1.0, 0.9), basis)
+    dens = build_hamiltonian(LMGParams(3, N, 1.0, 0.9), basis).toarray()
     gen = build_hamiltonian(
         LMGParams(3, N, 1.0 / N, lambda1=-0.9 / (N * (N - 1)), lambda2=0.0),
         basis,
-    )
+    ).toarray()
     assert np.allclose(dens, gen, atol=1e-15)
 
 
 def test_general_mode_exchange_term_is_parity_safe():
     basis = shared_basis(3, 6)
-    H = build_hamiltonian(LMGParams(3, 6, 1.0, lambda1=0.3, lambda2=0.2), basis)
+    H = build_hamiltonian(
+        LMGParams(3, 6, 1.0, lambda1=0.3, lambda2=0.2), basis
+    ).toarray()
     assert np.array_equal(H, H.T)
     codes = basis.sector_codes
     assert np.all(H[codes[:, None] != codes[None, :]] == 0.0)
@@ -88,7 +91,7 @@ def test_general_mode_exchange_term_is_parity_safe():
 
 def test_diagonalize_free_case_matches_diagonal():
     basis = shared_basis(3, 8)
-    H = build_hamiltonian(LMGParams(3, 8, 1.0, 0.0), basis)
+    H = build_hamiltonian(LMGParams(3, 8, 1.0, 0.0), basis).toarray()
     spec = diagonalize(H, basis)
     assert np.allclose(spec.eigenvalues, np.sort(np.diag(H)), atol=1e-14)
 
@@ -138,6 +141,51 @@ def test_exactly_degenerate_free_levels_get_deterministic_labels():
     spec = diagonalize(H, basis, k=6)
     assert spec.parities == EXPECTED_LOW_PARITIES
     assert np.all(spec.certainties >= 1.0 - 1e-12)
+
+
+def _diagonal_spectrum(placed: dict) -> list:
+    """Labels of the four lowest levels of a diagonal H over (D=3, N=10).
+
+    `placed` maps occupation vectors to their energies; every other state
+    sits at 1 or above.
+    """
+    basis = shared_basis(3, 10)
+    diag = 1.0 + np.arange(basis.size) / basis.size
+    for occ, energy in placed.items():
+        diag[basis.rank(occ)] = energy
+    return diagonalize(sparse.diags_array(diag), basis, k=4).parities
+
+
+def test_real_cross_sector_splitting_is_ordered_by_energy():
+    # a (1,1) level 1e-11 below a (0,0) one is a resolved splitting, far
+    # above solver accuracy, so energy order wins over label order
+    labels = _diagonal_spectrum(
+        {(10, 0, 0): 0.0, (8, 1, 1): -1e-11, (9, 1, 0): 0.5, (9, 0, 1): 0.5}
+    )
+    assert labels == [(1, 1), (0, 0), (0, 1), (1, 0)]
+
+
+def test_exact_cross_sector_ties_are_ordered_by_label():
+    labels = _diagonal_spectrum(
+        {(8, 1, 1): -1.0, (9, 1, 0): -1.0, (9, 0, 1): -1.0, (10, 0, 0): -1.0}
+    )
+    assert labels == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("lam", [0.2, 1.0, 2.5])
+def test_sector_solve_is_complete_and_labels_are_exact(lam):
+    basis = shared_basis(3, 30)
+    H = build_hamiltonian(LMGParams(3, 30, 1.0, lam), basis)
+    spec = diagonalize(H, basis)
+    assert np.allclose(
+        spec.eigenvalues, np.linalg.eigvalsh(H.toarray()), rtol=0.0, atol=1e-12
+    )
+    assert np.all(spec.certainties == 1.0)
+    assert not np.any(spec.mixed)
+    for label, state in zip(spec.parities, spec.eigenstates):
+        measured, weight = classify_parity(state)
+        assert measured == label
+        assert abs(weight - 1.0) < 1e-12
 
 
 def test_doublet_gap_shrinks_with_coupling():
@@ -211,7 +259,7 @@ def test_variational_bound(lam):
 
 def test_spectrum_invariant_under_basis_relabeling(rng):
     basis = shared_basis(3, 9)
-    H = build_hamiltonian(LMGParams(3, 9, 1.0, 1.1), basis)
+    H = build_hamiltonian(LMGParams(3, 9, 1.0, 1.1), basis).toarray()
     perm = rng.permutation(basis.size)
     shuffled = H[np.ix_(perm, perm)]
     assert np.allclose(
