@@ -37,7 +37,6 @@ from .lmg import (
     build_hamiltonian,
     classify_parity,
     diagonalize,
-    spectrum_sweep,
 )
 from .parity import (
     CatSpec,

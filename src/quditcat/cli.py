@@ -24,7 +24,6 @@ import argparse
 import configparser
 import hashlib
 import itertools
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,17 +36,12 @@ from .husimi import (
     HusimiGridSpec,
     IntegrationSpec,
     count_humps,
+    count_map_humps,
     husimi_grid,
     moment_analytic,
     wehrl_entropy,
 )
-from .lmg import (
-    DiagonalizationError,
-    LMGParams,
-    build_hamiltonian,
-    diagonalize,
-    spectrum_sweep,
-)
+from .lmg import DiagonalizationError, LMGParams, build_hamiltonian, diagonalize
 from .selftest import run_selftest
 from .variational import critical_point, fidelity, maximize_overlap, variational_cat
 
@@ -80,7 +74,7 @@ class ExperimentConfig:
     samples: int = 1_000_000
     batch: int = 200_000
     seed: int | None = None
-    workers: int | None = None
+    workers: int = 1
     levels: int = 6
     grid_points: int = 128
     grid_half_range: float = 1.5
@@ -88,6 +82,10 @@ class ExperimentConfig:
     out: str = "-"
 
     def lam_grid(self) -> np.ndarray:
+        given = self.lam_values or (self.lam_min, self.lam_max)
+        bad = [v for v in given if not np.isfinite(v)]
+        if bad:
+            raise ConfigError(f"coupling {bad[0]!r} is not finite")
         if self.lam_values is not None:
             return np.asarray(self.lam_values, dtype=float)
         if self.lam_steps < 1:
@@ -186,7 +184,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         samples=pick("samples", args.samples, int, 1_000_000),
         batch=pick("batch", args.batch, int, 200_000),
         seed=pick("seed", args.seed, int, None),
-        workers=pick("workers", args.workers, int, os.cpu_count()),
+        workers=pick("workers", args.workers, int, 1),
         levels=pick("levels", args.levels, int, 6),
         grid_points=pick("grid_points", args.grid_points, int, 128),
         grid_half_range=pick("grid_half_range", args.grid_half_range, float, 1.5),
@@ -197,6 +195,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("need at least two levels")
     if any(n < 2 for n in cfg.N):
         raise ConfigError("need at least two particles")
+    if cfg.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {cfg.workers}")
     if cfg.command in ("localization",) and cfg.seed is None:
         raise ConfigError(f"command {cfg.command!r} uses Monte-Carlo; --seed is required")
     return cfg
@@ -223,9 +223,8 @@ def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> No
             fh.write(text)
 
 
-def _pool_map(fn, items, workers: int | None):
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _pool_map(fn, items, workers: int):
+    """fn over the sweep points on `workers` threads, results in item order."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -261,20 +260,19 @@ def branch_centers(D: int, lam: float, epsilon: float = 1.0) -> np.ndarray:
 def cmd_spectrum(cfg: ExperimentConfig) -> None:
     N = cfg.N[0]
     k = cfg.levels
-    params = LMGParams(cfg.D, N, 1.0, 0.0)
-    sweep = spectrum_sweep(params, cfg.lam_grid(), k, workers=cfg.workers)
-    failed = [row for row in sweep if row.error is not None]
-    if failed:
-        raise DiagonalizationError(
-            f"{len(failed)} sweep rows failed, first at lambda={failed[0].lam}: "
-            f"{failed[0].error}"
+    basis = shared_basis(cfg.D, N)
+
+    def rows_for(lam: float):
+        lam = float(lam)
+        params = LMGParams(cfg.D, N, 1.0, lam)
+        spec = diagonalize(build_hamiltonian(params, basis), basis, k=k)
+        return (
+            [lam]
+            + [float(e) for e in spec.eigenvalues]
+            + [_bits(p) for p in spec.parities]
         )
-    rows = [
-        [row.lam]
-        + [float(e) for e in row.energies]
-        + [_bits(p) for p in row.parities]
-        for row in sweep
-    ]
+
+    rows = _pool_map(rows_for, list(cfg.lam_grid()), cfg.workers)
     header = (
         ["lambda"]
         + [f"E{i}" for i in range(k)]
@@ -331,7 +329,10 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
         params = LMGParams(3, N, 1.0, lam)
         cat = variational_cat(lam, label, params, basis)
         pts, q = husimi_grid(cat, grid)
-        humps = count_humps(cat, count_grid)
+        if grid == count_grid:
+            humps = count_map_humps(q.reshape(grid.points, grid.points))
+        else:
+            humps = count_humps(cat, count_grid)
         bits = _bits(label)
         return [
             [lam, bits, pts[i, 0], pts[i, 1], q[i], humps] for i in range(len(q))
@@ -397,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file; flags override its keys")
         p.add_argument("--out", help="output CSV path ('-' for stdout)")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
-        p.add_argument("--workers", type=int, help="sweep worker pool size")
+        p.add_argument("--workers", type=int, help="sweep worker threads (default 1)")
         p.add_argument("--N", help="particle number (comma list where supported)")
         p.add_argument("--D", type=int, help="number of levels")
         p.add_argument("--lambda-min", dest="lambda_min", type=float)

@@ -455,13 +455,21 @@ def count_humps(state: SymmetricState, spec: HusimiGridSpec) -> int:
     rule.  A warning is raised when two nearby humps differ by less than
     1e-6 in Q, where the merge decision is ambiguous.
     """
-    if spec.points < 64:
-        raise ValueError("hump counting needs at least 64 points per axis")
     if spec.slice != "position":
         raise ValueError("hump counting is defined on the position slice")
-    n_axes = state.basis.D - 1
     _, q = husimi_grid(state, spec)
-    q = q.reshape((spec.points,) * n_axes)
+    return count_map_humps(q.reshape((spec.points,) * (state.basis.D - 1)))
+
+
+def count_map_humps(q: np.ndarray) -> int:
+    """Number of local maxima of a Husimi map already on its position grid.
+
+    q holds the values of `husimi_grid` reshaped to one axis per grid
+    dimension; the merge rule and the warning are those of `count_humps`.
+    """
+    if min(q.shape) < 64:
+        raise ValueError("hump counting needs at least 64 points per axis")
+    n_axes = q.ndim
 
     padded = np.pad(q, 1, mode="constant", constant_values=-np.inf)
     is_max = np.ones_like(q, dtype=bool)

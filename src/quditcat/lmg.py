@@ -19,7 +19,6 @@ Level indices are 0-based throughout: for D = 3 the one-body term reads
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,44 +204,3 @@ def diagonalize(
         mixed=np.zeros(order.size, dtype=bool),
     )
 
-
-@dataclass
-class SweepRow:
-    lam: float
-    energies: np.ndarray | None
-    parities: list[tuple[int, ...]] | None
-    certainties: np.ndarray | None
-    error: str | None = None
-
-
-def spectrum_sweep(
-    params: LMGParams,
-    lam_grid,
-    levels_kept: int,
-    workers: int | None = 1,
-) -> list[SweepRow]:
-    """Low-lying spectrum and parities on a grid of couplings.
-
-    Each grid point is an independent job; failures are recorded in the
-    row instead of aborting the sweep.  Rows come back in grid order.
-    """
-    basis = FockBasis(params.D, params.N)
-    lam_grid = [float(v) for v in lam_grid]
-
-    def run(lam: float) -> SweepRow:
-        try:
-            p = LMGParams(params.D, params.N, params.epsilon, lam)
-            spectrum = diagonalize(build_hamiltonian(p, basis), basis, k=levels_kept)
-            return SweepRow(
-                lam,
-                spectrum.eigenvalues.copy(),
-                spectrum.parities,
-                spectrum.certainties.copy(),
-            )
-        except Exception as exc:  # per-row isolation is the contract
-            return SweepRow(lam, None, None, None, error=str(exc))
-
-    if workers is not None and workers == 1:
-        return [run(lam) for lam in lam_grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, lam_grid))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import quditcat.husimi
 from quditcat.cli import EXIT_CAPACITY, EXIT_CONFIG, branch_centers, main
 
 
@@ -42,8 +43,11 @@ def test_spectrum_command(tmp_path):
     assert list(rows[0]) == (
         ["lambda"] + [f"E{i}" for i in range(6)] + [f"parity{i}" for i in range(6)]
     )
+    assert [float(r["lambda"]) for r in rows] == [0.0, 1.0, 2.5]
     assert float(rows[0]["E0"]) == -1.0
     for row in rows:
+        # ground densities never exceed the free value -1 once coupling is on
+        assert float(row["E0"]) <= -1.0 + 1e-12
         labels = sorted(row[f"parity{i}"] for i in range(6))
         assert labels == ["00", "00", "01", "10", "10", "11"]
 
@@ -55,6 +59,57 @@ def test_spectrum_deterministic_reruns(tmp_path):
     assert run_cli(args, first) == 0
     assert run_cli(args, second) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "--N", "10", "--lambda-values", "0.2,0.9,1.7", "--levels", "3"],
+        ["husimi", "--N", "8", "--lambda-values", "0.3,2.5", "--parity", "00,11",
+         "--grid-points", "64"],
+    ],
+    ids=["spectrum", "husimi"],
+)
+def test_pool_output_matches_serial(tmp_path, args):
+    serial = tmp_path / "serial.csv"
+    pooled = tmp_path / "pooled.csv"
+    assert run_cli(args + ["--workers", "1"], serial) == 0
+    assert run_cli(args + ["--workers", "3"], pooled) == 0
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["spectrum", "--N", "2", "--lambda-values", "1.0", "--levels", "0"], "k must"),
+        (["spectrum", "--N", "2", "--lambda-values", "1.0", "--levels", "99"], "k must"),
+        (["husimi", "--N", "8", "--lambda-values", "1.0", "--parity", "00",
+          "--grid-points", "64", "--workers", "0"], "--workers"),
+        (["spectrum", "--N", "8", "--lambda-values", "0.5,nan"], "nan"),
+    ],
+    ids=["levels-0", "levels-above-dim", "workers-0", "nan-coupling"],
+)
+def test_bad_settings_are_config_errors(tmp_path, capsys, args, named):
+    assert run_cli(args, tmp_path / "x.csv") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+@pytest.mark.parametrize("grid_slice, per_map", [("position", 1), ("momentum", 2)])
+def test_husimi_map_evaluated_once(tmp_path, monkeypatch, grid_slice, per_map):
+    calls = []
+    values = quditcat.husimi.husimi_values
+
+    def counted(state, zs):
+        calls.append(len(zs))
+        return values(state, zs)
+
+    monkeypatch.setattr(quditcat.husimi, "husimi_values", counted)
+    args = ["husimi", "--N", "8", "--lambda-values", "0.3,2.5", "--parity", "00",
+            "--grid-points", "64", "--grid-slice", grid_slice]
+    assert run_cli(args, tmp_path / "h.csv") == 0
+    # the momentum slice still evaluates the position grid to count humps
+    assert calls == [64 * 64] * (2 * per_map)
 
 
 def test_fidelity_command(tmp_path):

@@ -11,7 +11,6 @@ from quditcat.lmg import (
     build_hamiltonian,
     classify_parity,
     diagonalize,
-    spectrum_sweep,
 )
 from quditcat.parity import CatSpec, dcat
 from quditcat.variational import finite_N_energy
@@ -222,26 +221,6 @@ def test_classify_parity_equal_mixture(basis_3_20):
     label, certainty = classify_parity(mix)
     assert abs(certainty - 0.5) < 1e-12
     assert label == (0, 0)  # lexicographic tie-break
-
-
-def test_spectrum_sweep_rows_and_errors():
-    rows = spectrum_sweep(LMGParams(3, 12, 1.0, 0.0), [0.0, 1.0, np.nan, 2.5], 4)
-    assert len(rows) == 4
-    assert abs(rows[0].energies[0] + 1.0) < 1e-12
-    assert rows[2].error is not None and rows[2].energies is None
-    assert rows[3].error is None
-    # ground densities never exceed the free value -1 once coupling is on
-    for row in (rows[0], rows[1], rows[3]):
-        assert row.energies[0] <= -1.0 + 1e-12
-
-
-def test_spectrum_sweep_parallel_matches_serial():
-    grid = [0.2, 0.9, 1.7]
-    serial = spectrum_sweep(LMGParams(3, 10, 1.0, 0.0), grid, 3, workers=1)
-    threaded = spectrum_sweep(LMGParams(3, 10, 1.0, 0.0), grid, 3, workers=3)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.energies, b.energies)
-        assert a.parities == b.parities
 
 
 @settings(deadline=None, max_examples=10)
