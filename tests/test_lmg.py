@@ -1,9 +1,14 @@
+import csv
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quditcat.cli import EXIT_CONFIG, main
 from quditcat.coherent import SymmetricState
 from quditcat.fock import shared_basis
 from quditcat.lmg import (
@@ -221,6 +226,29 @@ def test_classify_parity_equal_mixture(basis_3_20):
     label, certainty = classify_parity(mix)
     assert abs(certainty - 0.5) < 1e-12
     assert label == (0, 0)  # lexicographic tie-break
+
+
+def test_spectrum_sweep_rows_and_errors(tmp_path):
+    def sweep(grid, out):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return main(
+                ["spectrum", "--N", "12", "--lambda-values", grid,
+                 "--levels", "4", "--out", str(out)]
+            )
+
+    out = tmp_path / "sweep.csv"
+    assert sweep("0.0,1.0,2.5", out) == 0
+    rows = list(csv.DictReader(Path(out).read_text().splitlines()[1:]))
+    assert [float(r["lambda"]) for r in rows] == [0.0, 1.0, 2.5]
+    assert abs(float(rows[0]["E0"]) + 1.0) < 1e-12
+    # ground densities never exceed the free value -1 once coupling is on
+    for row in rows:
+        assert float(row["E0"]) <= -1.0 + 1e-12
+    # a non-finite coupling is rejected before any row is solved or written
+    bad = tmp_path / "bad.csv"
+    assert sweep("0.0,1.0,nan,2.5", bad) == EXIT_CONFIG
+    assert not bad.exists()
 
 
 @settings(deadline=None, max_examples=10)
