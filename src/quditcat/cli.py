@@ -86,10 +86,11 @@ class ExperimentConfig:
         bad = [v for v in given if not np.isfinite(v)]
         if bad:
             raise ConfigError(f"coupling {bad[0]!r} is not finite")
+        points = self.lam_steps if self.lam_values is None else len(self.lam_values)
+        if points < 1:
+            raise ConfigError("lambda grid needs at least one point")
         if self.lam_values is not None:
             return np.asarray(self.lam_values, dtype=float)
-        if self.lam_steps < 1:
-            raise ConfigError("lambda grid needs at least one point")
         if self.lam_scale == "linear":
             return np.linspace(self.lam_min, self.lam_max, self.lam_steps)
         if self.lam_scale == "log":
@@ -193,6 +194,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     )
     if cfg.D < 2:
         raise ConfigError("need at least two levels")
+    if not cfg.N:
+        raise ConfigError("particle list is empty")
     if any(n < 2 for n in cfg.N):
         raise ConfigError("need at least two particles")
     if cfg.workers < 1:

@@ -7,11 +7,13 @@ invariant subspaces; projecting a coherent state |z> onto the sector c and
 renormalizing yields a generalized Schroedinger cat, a superposition of
 the 2^(D-1) sign-flipped coherent branches |z^b>.
 
-When some coordinate z_i vanishes with c_i = 1, the projection itself
-vanishes and the cat is defined by its limit instead: a cat of the reduced
-parity group on the non-zero coordinates, with one extra particle created
-in each level i where z_i = 0 and c_i = 1.  `dcat` switches between the
-two branches automatically, so every (z, c) pair maps to a well-defined
+On sector c the coherent amplitudes sqrt(N!/prod n_i!) z^n all carry the
+common factor z^c, because n_i - c_i is even.  Dividing it out leaves
+amplitudes sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z) that stay finite when
+a coordinate vanishes; at z_i = 0 only n_i = c_i survives, which is the
+reduced-cat limit: a cat of the non-zero coordinates with one particle
+created in each level i where z_i = 0 and c_i = 1.  `cat_amplitudes`
+evaluates this one formula, so every (z, c) pair maps to a well-defined
 unit-norm state.
 """
 
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import SymmetricState, as_phase_point, dscs_coefficients
-from .fock import FockBasis, shared_basis
+from .coherent import SymmetricState, as_phase_point
+from .fock import FockBasis
 
 PROJECTION_TOL = 1e-12
 
@@ -94,40 +96,28 @@ def apply_parity_flip(b, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatSpec:
-    """Defining data of a parity-adapted coherent state.
+    """Defining data of a parity-adapted coherent state |z>_c of N particles.
 
-    zero_tolerance sets the |z_i| threshold below which a coordinate is
-    treated as exactly zero and the reduced-cat limit branch is taken.
-    The sector norm scales like (2 sqrt(N) |z_i|)^{c_i} near zero, so for
-    N up to ~1e3 the exact-projection branch stays numerically safe for
-    any |z_i| above the 1e-9 default.
+    Any finite z is valid, including coordinates that are exactly zero,
+    where the cat is the reduced-cat limit (see `cat_amplitudes`).
     """
 
     z: tuple
     c: tuple
     N: int
-    zero_tolerance: float = 1e-9
 
-    def __init__(self, z, c, N: int, zero_tolerance: float = 1e-9):
+    def __init__(self, z, c, N: int):
         z = as_phase_point(z)
         c = tuple(int(v) for v in _as_bits(c))
         if len(c) != z.shape[0]:
             raise ValueError("phase point and parity label have different lengths")
-        if zero_tolerance <= 0:
-            raise ValueError("zero_tolerance must be positive")
         object.__setattr__(self, "z", tuple(complex(v) for v in z))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "zero_tolerance", float(zero_tolerance))
 
     @property
     def D(self) -> int:
         return len(self.z) + 1
-
-    def zero_set(self) -> np.ndarray:
-        """Indices (0-based into z) of coordinates treated as zero."""
-        mag = np.abs(np.asarray(self.z))
-        return np.nonzero(mag <= self.zero_tolerance)[0]
 
 
 def cat_norm_sq(spec: CatSpec) -> float:
@@ -169,64 +159,45 @@ def cat_norm(spec: CatSpec) -> float:
     return float(np.sqrt(cat_norm_sq(spec)))
 
 
+def cat_amplitudes(basis: FockBasis, z, c) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of sector c and the cat's unnormalized amplitudes on them.
+
+    The amplitudes are sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z), i.e. the
+    coherent amplitudes with the common factor z^c divided out, evaluated
+    in log space and scaled so that the largest modulus is 1.  A
+    coordinate that is exactly zero keeps only the states with n_i = c_i
+    (0^0 = 1); the state n = (N - |c|, c) always survives.
+    """
+    z = as_phase_point(z, basis.D)
+    c = _as_bits(c, basis.D)
+    if basis.N < c.sum():
+        raise ValueError(
+            f"cannot place {int(c.sum())} excitations with only {basis.N} particles"
+        )
+    idx = np.nonzero(sector_mask(basis, c))[0]
+    n = basis.states[idx, 1:]
+    excess = n - c
+    mag = np.abs(z)
+    log_amp = 0.5 * basis.log_multinomials[idx] + excess @ np.log(
+        np.where(mag > 0.0, mag, 1.0)
+    )
+    log_amp[np.any(excess[:, mag == 0.0] > 0, axis=1)] = -np.inf
+    return idx, np.exp(log_amp - log_amp.max() + 1j * (n @ np.angle(z)))
+
+
 def dcat(basis: FockBasis, spec: CatSpec) -> SymmetricState:
     """Parity-adapted coherent state |z>_c, always unit norm.
 
-    With every |z_i| above spec.zero_tolerance this is the renormalized
-    projection of the coherent state onto sector c.  When a subset L of
-    coordinates is (numerically) zero, the projection may vanish and the
-    state is built from its limit instead: a reduced cat over the
-    non-zero coordinates with N - sum(c_L) particles, with one particle
-    created in each level i in L that has c_i = 1.  The result is
-    embedded in the full (D, N) basis either way.
+    The normalized sector amplitudes of `cat_amplitudes` embedded in the
+    full (D, N) basis: the renormalized projection of |z> onto sector c,
+    and its reduced-cat limit where coordinates vanish.
     """
     if basis.D != spec.D or basis.N != spec.N:
         raise ValueError(
             f"spec (D={spec.D}, N={spec.N}) does not match basis "
             f"(D={basis.D}, N={basis.N})"
         )
-    zero_idx = spec.zero_set()
-    z = np.asarray(spec.z)
-    c = np.asarray(spec.c, dtype=np.int64)
-
-    if zero_idx.size == 0:
-        raw = dscs_coefficients(basis, z)
-        mask = sector_mask(basis, spec.c)
-        coeffs = np.where(mask, raw, 0.0)
-        norm = np.linalg.norm(coeffs)
-        if norm == 0.0:
-            raise ValueError(
-                "projection vanished despite non-zero coordinates; "
-                "increase zero_tolerance"
-            )
-        return SymmetricState(basis, coeffs / norm)
-
-    # limit branch: reduced cat on the non-zero coordinates, then one
-    # creation operator per zeroed coordinate with odd parity demand
-    added = c[zero_idx]
-    n_added = int(added.sum())
-    if basis.N < n_added:
-        raise ValueError(
-            f"cannot place {n_added} excitations with only {basis.N} particles"
-        )
-    reduced_basis = shared_basis(basis.D, basis.N - n_added)
-    z_limit = z.copy()
-    z_limit[zero_idx] = 0.0
-    raw = dscs_coefficients(reduced_basis, z_limit)
-
-    keep = np.ones(reduced_basis.size, dtype=bool)
-    nonzero_idx = np.setdiff1d(np.arange(basis.D - 1), zero_idx)
-    for i in nonzero_idx:
-        keep &= reduced_basis.parity_bits[:, i] == c[i]
-    coeffs_reduced = np.where(keep, raw, 0.0)
-    norm = np.linalg.norm(coeffs_reduced)
-    if norm == 0.0:
-        raise ValueError("reduced projection vanished; invalid cat specification")
-    coeffs_reduced /= norm
-
-    shift = np.zeros(basis.D, dtype=np.int64)
-    shift[1:][zero_idx] = added
+    idx, amps = cat_amplitudes(basis, spec.z, spec.c)
     coeffs = np.zeros(basis.size, dtype=complex)
-    src = np.nonzero(coeffs_reduced)[0]
-    coeffs[basis.rank(reduced_basis.states[src] + shift)] = coeffs_reduced[src]
+    coeffs[idx] = amps / np.linalg.norm(amps)
     return SymmetricState(basis, coeffs)

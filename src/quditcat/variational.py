@@ -23,7 +23,12 @@ from scipy.optimize import minimize
 from .coherent import SymmetricState, cs_expectation, cs_quadratic_expectation
 from .fock import FockBasis
 from .lmg import LMGParams, build_hamiltonian
-from .parity import CatSpec, dcat
+from .parity import CatSpec, cat_amplitudes, dcat, sector_mask
+
+# overlap search: GRID_POINTS^2 starts on [0, GRID_MAX]^2, Nelder-Mead from each
+GRID_POINTS = 5
+GRID_MAX = 1.2
+MAXITER = 500
 
 
 @dataclass(frozen=True)
@@ -130,10 +135,12 @@ def variational_cat(
     z = np.array([cp.z1, cp.z2], dtype=complex)
     if minimize_energy:
         H = build_hamiltonian(LMGParams(3, params.N, params.epsilon, lam), basis)
+        idx = np.nonzero(sector_mask(basis, c))[0]
+        H_cc = H[idx][:, idx]
 
         def cat_energy(x):
-            state = dcat(basis, CatSpec(np.abs(x).astype(complex), c, params.N))
-            return float(np.real(np.vdot(state.coeffs, H @ state.coeffs)))
+            _, a = cat_amplitudes(basis, np.abs(x), c)
+            return float(np.vdot(a, H_cc @ a).real / np.vdot(a, a).real)
 
         best = minimize(
             cat_energy,
@@ -153,31 +160,30 @@ def fidelity(a: SymmetricState, b: SymmetricState) -> float:
 def maximize_overlap(
     psi: SymmetricState,
     c,
-    grid_points: int = 5,
-    grid_max: float = 1.2,
     extra_starts=(),
-    maxiter: int = 500,
 ) -> tuple[np.ndarray, float]:
     """Best-fidelity cat coordinates for a given eigenstate.
 
     Maximizes F(z) = |<z_c|psi>|^2 over real (z1, z2) with Nelder-Mead
-    from a fixed grid of starts on [0, grid_max]^2 plus any extra starts
-    (e.g. the critical point), so the result is deterministic.  The
-    objective has mirror-image maxima at all sign flips; coordinates are
-    reported in the non-negative quadrant.
+    from a fixed grid of starts on [0, GRID_MAX]^2 plus any extra starts
+    (e.g. the critical point), so the result is deterministic.  F has the
+    closed form |<a|psi_c>|^2 / <a|a> in the sector amplitudes a of
+    `cat_amplitudes`, so no state is built per step.  The objective has
+    mirror-image maxima at all sign flips; coordinates are reported in the
+    non-negative quadrant.
 
     Returns (z_max, F_max).  Raises if every start fails to converge.
     """
     basis = psi.basis
     if basis.D != 3:
         raise ValueError("overlap maximization uses the D = 3 search space")
-    c = tuple(int(v) for v in c)
+    psi_c = psi.coeffs[sector_mask(basis, c)]
 
     def neg_fidelity(x):
-        state = dcat(basis, CatSpec(np.abs(x).astype(complex), c, basis.N))
-        return -fidelity(state, psi)
+        _, a = cat_amplitudes(basis, np.abs(x), c)
+        return -min(abs(np.vdot(a, psi_c)) ** 2 / np.vdot(a, a).real, 1.0)
 
-    axis = np.linspace(0.0, grid_max, grid_points)
+    axis = np.linspace(0.0, GRID_MAX, GRID_POINTS)
     starts = [np.array([a, b]) for a in axis for b in axis]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
 
@@ -188,7 +194,7 @@ def maximize_overlap(
             neg_fidelity,
             x0=x0,
             method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": maxiter},
+            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": MAXITER},
         )
         if not res.success:
             failures += 1

@@ -86,8 +86,12 @@ def test_pool_output_matches_serial(tmp_path, args):
         (["husimi", "--N", "8", "--lambda-values", "1.0", "--parity", "00",
           "--grid-points", "64", "--workers", "0"], "--workers"),
         (["spectrum", "--N", "8", "--lambda-values", "0.5,nan"], "nan"),
+        (["localization", "--N", ",", "--lambda-values", "1.0", "--seed", "1"],
+         "particle list"),
+        (["spectrum", "--N", "8", "--lambda-values", ","], "at least one point"),
     ],
-    ids=["levels-0", "levels-above-dim", "workers-0", "nan-coupling"],
+    ids=["levels-0", "levels-above-dim", "workers-0", "nan-coupling",
+         "empty-particle-list", "empty-coupling-list"],
 )
 def test_bad_settings_are_config_errors(tmp_path, capsys, args, named):
     assert run_cli(args, tmp_path / "x.csv") == EXIT_CONFIG

@@ -195,33 +195,42 @@ def test_dcat_zero_limit_d3_all_sectors(basis_3_20):
         assert np.array_equal(cat.coeffs.real, expected)
 
 
-def test_dcat_four_branch_superposition(basis_3_20):
-    z = np.array([0.3, 0.7])
-    for c in all_parity_labels(3):
-        acc = np.zeros(basis_3_20.size, dtype=complex)
-        for b in itertools.product((0, 1), repeat=2):
-            sign = character(c, b)
-            acc += sign * dscs(basis_3_20, apply_parity_flip(b, z)).coeffs
-        norm = np.linalg.norm(acc)
-        if norm < 1e-12:
-            continue
-        acc /= norm
-        got = dcat(basis_3_20, CatSpec(z, c, 20)).coeffs
-        assert np.abs(got - acc).max() < 1e-10
+def test_dcat_four_branch_superposition(rng):
+    for D, N in ((2, 20), (3, 20), (4, 12)):
+        basis = shared_basis(D, N)
+        z = random_phase_point(rng, D)
+        for c in all_parity_labels(D):
+            acc = np.zeros(basis.size, dtype=complex)
+            for b in all_parity_labels(D):
+                sign = character(c, b)
+                acc += sign * dscs(basis, apply_parity_flip(b, z)).coeffs
+            norm = np.linalg.norm(acc)
+            if norm < 1e-12:
+                continue
+            acc /= norm
+            got = dcat(basis, CatSpec(z, c, N)).coeffs
+            assert np.abs(got - acc).max() < 1e-10
 
 
-def test_dcat_off_sector_coefficients_vanish_exactly(rng, basis_3_20):
-    z = random_phase_point(rng, 3)
-    for c in all_parity_labels(3):
-        cat = dcat(basis_3_20, CatSpec(z, c, 20))
-        off = ~sector_mask(basis_3_20, c)
-        assert np.all(cat.coeffs[off] == 0.0)
+def test_dcat_off_sector_coefficients_vanish_exactly(rng):
+    # N = 500 at |z| = 4 spans hundreds of decades of amplitude
+    z_far = 4.0 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+    for N, z in ((20, random_phase_point(rng, 3)), (500, z_far)):
+        basis = shared_basis(3, N)
+        for c in all_parity_labels(3):
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                cat = dcat(basis, CatSpec(z, c, N))
+            assert np.all(np.isfinite(cat.coeffs))
+            assert abs(cat.norm() - 1.0) < 1e-12
+            off = ~sector_mask(basis, c)
+            assert np.all(cat.coeffs[off] == 0.0)
 
 
 def test_dcat_continuity_at_branch_switch(basis_3_20):
-    exact = dcat(basis_3_20, CatSpec([1e-6, 0.7], (1, 0), 20))
     limit = dcat(basis_3_20, CatSpec([0.0, 0.7], (1, 0), 20))
-    assert abs(exact.inner(limit)) ** 2 >= 1.0 - 1e-4
+    for eps in (1e-12, 3e-9, 1e-6):
+        near = dcat(basis_3_20, CatSpec([eps, 0.7], (1, 0), 20))
+        assert abs(near.inner(limit)) ** 2 >= 1.0 - 1e-10
 
 
 def test_dcat_reduced_limit_is_order_independent():

@@ -226,6 +226,17 @@ def test_maximize_overlap_recovers_cat_label(basis_3_20):
     assert np.allclose(np.abs(z_max), [0.45, 0.75], atol=1e-4)
 
 
+def test_maximize_overlap_finds_reduced_cats_on_the_axes(basis_3_20):
+    for z, c in (([0.0, 0.45], (1, 1)), ([0.6, 0.0], (0, 1))):
+        target = dcat(basis_3_20, CatSpec(z, c, 20))
+        z_max, f_max = maximize_overlap(target, c)
+        assert f_max >= 1.0 - 1e-10
+        zero = z.index(0.0)
+        assert abs(z_max[zero]) < 1e-4
+        rebuilt = dcat(basis_3_20, CatSpec(z_max, c, 20))
+        assert abs(f_max - fidelity(rebuilt, target)) < 1e-12
+
+
 def test_maximize_overlap_tracks_critical_point_at_extremes():
     basis = shared_basis(3, 20)
     for lam in (0.01, 15.0):
