@@ -205,19 +205,33 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _format(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_csv(cfg: ExperimentConfig, header: list[str], columns) -> None:
+    """Write the metadata line, the header and the rows of `columns`.
 
-
-def _write_csv(cfg: ExperimentConfig, header: list[str], rows: list[list]) -> None:
+    Each column is an array or a sequence of scalars, numpy or Python.  A
+    float is written as its repr and any other value as its str, a numpy
+    scalar as the Python scalar it holds; each row is formatted by one
+    template call.
+    """
+    cols, fields = [], []
+    for col in columns:
+        if isinstance(col, np.ndarray):
+            values, floats = col.tolist(), col.dtype.kind == "f"
+        else:
+            values = list(col)
+            floats = all(type(v) is float for v in values)
+        cols.append(values)
+        # "{}" formats a numpy scalar as its Python value and a float as its
+        # repr; the repr conversion is only the faster one for floats
+        fields.append("{!r}" if floats else "{}")
+    template = ",".join(fields)
     lines = [
         f"# quditcat={__version__} command={cfg.command} "
-        f"config_digest={cfg.digest()} seed={cfg.seed}"
+        f"config_digest={cfg.digest()} seed={cfg.seed}",
+        ",".join(header),
     ]
-    lines.append(",".join(header))
-    lines.extend(",".join(_format(v) for v in row) for row in rows)
+    if cols:
+        lines.extend(map(template.format, *cols))
     text = "\n".join(lines) + "\n"
     if cfg.out == "-":
         sys.stdout.write(text)
@@ -281,7 +295,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
         + [f"E{i}" for i in range(k)]
         + [f"parity{i}" for i in range(k)]
     )
-    _write_csv(cfg, header, rows)
+    _write_csv(cfg, header, zip(*rows))
 
 
 def cmd_fidelity(cfg: ExperimentConfig) -> None:
@@ -314,7 +328,7 @@ def cmd_fidelity(cfg: ExperimentConfig) -> None:
     nested = _pool_map(rows_for, list(cfg.lam_grid()), cfg.workers)
     rows = [row for block in nested for row in block]
     header = ["lambda", "state", "parity", "F_at_critical", "F_max", "z1_max", "z2_max"]
-    _write_csv(cfg, header, rows)
+    _write_csv(cfg, header, zip(*rows))
 
 
 def cmd_husimi(cfg: ExperimentConfig) -> None:
@@ -326,7 +340,7 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
     grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, cfg.grid_slice)
     count_grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, "position")
 
-    def rows_for(task):
+    def columns_for(task):
         lam, label = task
         lam = float(lam)
         params = LMGParams(3, N, 1.0, lam)
@@ -336,16 +350,16 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
             humps = count_map_humps(q.reshape(grid.points, grid.points))
         else:
             humps = count_humps(cat, count_grid)
-        bits = _bits(label)
+        n = len(q)
         return [
-            [lam, bits, pts[i, 0], pts[i, 1], q[i], humps] for i in range(len(q))
+            np.full(n, lam), np.full(n, _bits(label)), pts[:, 0], pts[:, 1], q,
+            np.full(n, humps),
         ]
 
     tasks = [(lam, label) for lam in cfg.lam_grid() for label in labels]
-    nested = _pool_map(rows_for, tasks, cfg.workers)
-    rows = [row for block in nested for row in block]
+    blocks = _pool_map(columns_for, tasks, cfg.workers)
     header = ["lambda", "parity", "x1", "x2", "Q", "humps"]
-    _write_csv(cfg, header, rows)
+    _write_csv(cfg, header, [np.concatenate(parts) for parts in zip(*blocks)])
 
 
 def cmd_localization(cfg: ExperimentConfig) -> None:
@@ -386,7 +400,7 @@ def cmd_localization(cfg: ExperimentConfig) -> None:
     nested = _pool_map(rows_for, tasks, cfg.workers)
     rows = [row for block in nested for row in block]
     header = ["lambda", "state", "method", "M2", "M2_err", "S_W", "S_W_err"]
-    _write_csv(cfg, header, rows)
+    _write_csv(cfg, header, zip(*rows))
 
 
 def build_parser() -> argparse.ArgumentParser:

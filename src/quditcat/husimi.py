@@ -7,12 +7,18 @@ identity, Q integrates to one, its nu-th moments measure localization
 (nu = 2 is the inverse participation ratio), and -int Q ln Q is the Wehrl
 entropy, minimized by coherent states.
 
-Moments of integer order are computed exactly by a polynomial method:
-the amplitudes sqrt(N!/prod n_i!) c_n define a degree-N polynomial whose
-nu-th power, paired with the monomial norms at particle number N*nu,
-yields the moment without any quadrature.  Monte-Carlo backends (uniform
-Haar sampling and importance sampling from coherent-branch mixtures)
-cover the Wehrl integral, which has no closed form at finite N.
+All of them rest on one fact: <z|psi> is a degree-N polynomial in the
+coherent-state coordinates, sum_n sqrt(N!/prod n_i!) psi_n conj(u)^n at
+the unit homogeneous vector u = (1, z)/|(1, z)|.  `husimi_values`, the
+only Q kernel, evaluates it with the largest coordinate of u factored
+out, so every remaining power has modulus at most 1 and no term
+overflows at N in the hundreds or far from the origin; every map, hump
+count and Monte-Carlo estimate goes through it.  Moments of integer
+order are computed exactly from the same amplitudes: their nu-th power,
+paired with the monomial norms at particle number N*nu, yields the
+moment without any quadrature.  Monte-Carlo backends (uniform Haar
+sampling and importance sampling from coherent-branch mixtures) cover
+the Wehrl integral, which has no closed form at finite N.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import gammaln, logsumexp
 
-from .coherent import SymmetricState, log_dscs_coefficients
-from .fock import CapacityError, basis_size
+from .coherent import SymmetricState
+from .fock import CapacityError, FockBasis, basis_size
 
 DEFAULT_MOMENT_CAP = 10_000_000
 
-# chunk size (in matrix elements) for batched coefficient evaluation;
-# bounds peak memory of the temporaries near 250 MB
+# sample-axis chunk of husimi_values, counted in complex elements of its
+# per-sample temporaries (power tables and first mode product): 64 MB
 _CHUNK_ELEMENTS = 4_000_000
 
 
@@ -83,19 +89,101 @@ class HusimiGridSpec:
 
 
 def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
-    """Q(z) = |<z|psi>|^2 for a batch of phase points, shape (m, D-1)."""
+    """Q(z) = |<z|psi>|^2 for a batch of phase points, shape (m, D-1).
+
+    Evaluates the amplitude polynomial <z|psi> = sum_n w_n conj(u)^n,
+    w_n = sqrt(N!/prod n_i!) psi_n, at the unit homogeneous vector
+    u = (1, z)/|(1, z)|.  Each sample factors out its largest coordinate
+    u_p, leaving conj(u_p)^N P_p(conj r) with ratios r_k = u_k/u_p of
+    modulus at most 1, so no power overflows however far z lies from the
+    origin.  P_p is contracted mode by mode against power tables of the
+    ratios on the grid of w_n indexed by the non-pivot occupations; at
+    D = 3 that is (T_a @ G_p) dotted row-wise with T_b.  The weights are
+    scaled by e^(-s), s = max_n ln|w_n|, and the prefactor is applied as
+    exp(N ln|u_p| + s).  A batch is evaluated in chunks of `_chunk_rows`
+    samples, each exactly as a call on that chunk alone would be.
+
+    The error contract is absolute: about 1e-15 against the Fock-space sum
+    |conj(dscs_coefficients) . psi|^2, and not small relative to Q near
+    the zeros of Q (notes/decisions.md).  The prefactor stays finite while
+    (N/2) ln D < 709, for every N <= 1292 at D = 3; past that a state can
+    make it overflow, which raises FloatingPointError.
+    """
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim == 1:
         zs = zs[None, :]
     basis = state.basis
-    chunk = max(1, _CHUNK_ELEMENTS // basis.size)
+    N = basis.N
+    hom = np.concatenate([np.ones((zs.shape[0], 1), dtype=complex), zs], axis=1)
+    pivots = np.argmax(np.abs(hom), axis=1)
+    chunk = _chunk_rows(basis)
     out = np.empty(zs.shape[0])
-    for start in range(0, zs.shape[0], chunk):
-        block = zs[start : start + chunk]
-        logmag, phase = log_dscs_coefficients(basis, block)
-        amps = np.exp(logmag - 1j * phase) @ state.coeffs
-        out[start : start + block.shape[0]] = np.abs(amps) ** 2
+    # a weight, a term or a Q below the smallest double is 0 within the
+    # absolute error contract, so underflow is no failure here; the
+    # prefactor overflows only past (N/2) ln D = 709 (notes/decisions.md),
+    # and there it must fail rather than clamp Q to 1
+    with np.errstate(under="ignore", over="raise"):
+        weights, scale = _amplitude_weights(state)
+        grids = {
+            p: _weight_grid(basis, weights, p).reshape(N + 1, -1)
+            for p in np.unique(pivots)
+        }
+        for start in range(0, zs.shape[0], chunk):
+            for p, grid in grids.items():
+                rows = start + np.nonzero(pivots[start : start + chunk] == p)[0]
+                if rows.size:
+                    out[rows] = _pivot_husimi(hom[rows], p, grid, scale, N)
     return np.minimum(out, 1.0)
+
+
+def _chunk_rows(basis: FockBasis) -> int:
+    """Samples per chunk of husimi_values: the D - 1 power tables and the
+    first mode product of one sample hold (D-1)(N+1) + (N+1)^(D-2) values."""
+    per_sample = (basis.D - 1) * (basis.N + 1) + (basis.N + 1) ** (basis.D - 2)
+    return max(1, _CHUNK_ELEMENTS // per_sample)
+
+
+def _amplitude_weights(state: SymmetricState) -> tuple[np.ndarray, float]:
+    """w_n e^(-s) over the basis, w_n = sqrt(N!/prod n_i!) c_n, s = max ln|w_n|.
+
+    The weights are at most 1 in modulus and the scale s is carried
+    separately, so nothing overflows at N in the hundreds.  Coefficients
+    below the smallest normal double are dropped: c_n / |c_n| is inf+nanj
+    there, and each adds less than 1e-307 to any amplitude.
+    """
+    basis = state.basis
+    mags = np.abs(state.coeffs)
+    nz = mags >= np.finfo(float).tiny
+    weights = np.zeros(basis.size, dtype=complex)
+    log_mag = 0.5 * basis.log_multinomials[nz] + np.log(mags[nz])
+    scale = float(log_mag.max())
+    weights[nz] = np.exp(log_mag - scale) * (state.coeffs[nz] / mags[nz])
+    return weights, scale
+
+
+def _weight_grid(basis: FockBasis, weights: np.ndarray, p: int) -> np.ndarray:
+    """Weights laid out on the grid of the occupations of every level but p."""
+    grid = np.zeros((basis.N + 1,) * (basis.D - 1), dtype=complex)
+    grid[tuple(np.delete(basis.states, p, axis=1).T)] = weights
+    return grid
+
+
+def _pivot_husimi(
+    hom: np.ndarray, p: int, grid: np.ndarray, scale: float, N: int
+) -> np.ndarray:
+    """Q at homogeneous points hom (rows) whose largest coordinate is p."""
+    m = hom.shape[0]
+    ratios = (np.delete(hom, p, axis=1) / hom[:, p : p + 1]).conj()
+    log_up = -0.5 * np.log1p(np.sum(np.abs(ratios) ** 2, axis=1))
+    tables = np.empty((ratios.shape[1], m, N + 1), dtype=complex)
+    tables[:, :, 0] = 1.0
+    tables[:, :, 1:] = ratios.T[:, :, None]
+    np.cumprod(tables, axis=2, out=tables)
+    poly = tables[0] @ grid
+    for table in tables[1:]:
+        poly = np.einsum("mk,mkr->mr", table, poly.reshape(m, N + 1, -1))
+    amp = np.exp(N * log_up + scale) * poly[:, 0]
+    return amp.real**2 + amp.imag**2
 
 
 def husimi_value(state: SymmetricState, z) -> float:
@@ -260,16 +348,8 @@ def moment_analytic(
             f"{basis_size(D, M)} > cap {cap}"
         )
 
-    log_p = 0.5 * basis.log_multinomials
-    mags = np.abs(state.coeffs)
-    nz = mags > 0.0
-    log_mag = np.where(nz, log_p + np.log(np.where(nz, mags, 1.0)), -np.inf)
-    scale = float(log_mag[nz].max())
-    p = np.zeros(basis.size, dtype=complex)
-    p[nz] = np.exp(log_mag[nz] - scale) * (state.coeffs[nz] / mags[nz])
-
-    grid = np.zeros((N + 1,) * (D - 1), dtype=complex)
-    grid[tuple(basis.states[:, 1:].T)] = p
+    p, scale = _amplitude_weights(state)
+    grid = _weight_grid(basis, p, 0)
     if np.all(grid.imag == 0.0):
         grid = grid.real
 

@@ -4,10 +4,19 @@ import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditcat.husimi
-from quditcat.cli import EXIT_CAPACITY, EXIT_CONFIG, branch_centers, main
+from quditcat import __version__
+from quditcat.cli import (
+    EXIT_CAPACITY,
+    EXIT_CONFIG,
+    ExperimentConfig,
+    _write_csv,
+    branch_centers,
+    main,
+)
 
 
 def run_cli(args, out_path):
@@ -114,6 +123,33 @@ def test_husimi_map_evaluated_once(tmp_path, monkeypatch, grid_slice, per_map):
     assert run_cli(args, tmp_path / "h.csv") == 0
     # the momentum slice still evaluates the position grid to count humps
     assert calls == [64 * 64] * (2 * per_map)
+
+
+def format_value(value) -> str:
+    """The CSV value format: repr of any float, numpy floats included; str otherwise."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def test_csv_writer_matches_per_value_format(tmp_path):
+    columns = [
+        np.array([-0.0, 1e-300, 0.1, 1e16, -2.5e-7]),
+        [np.float64(-0.0), np.float64(1e-300), np.float64(1 / 3), 5e-324, 2.0],
+        [0, 1, -7, np.int64(12), 10**20],
+        [1.5, 2, np.float32(0.1), np.float64(-0.0), 1e-300],
+        np.array([3, 4, 1, 2, 0]),
+        ["00", "10", "01", "11", "00"],
+        np.array(["00", "01", "10", "11", "01"]),
+    ]
+    header = ["a", "b", "c", "d", "e", "f", "g"]
+    cfg = ExperimentConfig("husimi", seed=5, out=str(tmp_path / "w.csv"))
+    _write_csv(cfg, header, columns)
+    expected = [
+        f"# quditcat={__version__} command=husimi config_digest={cfg.digest()} seed=5",
+        ",".join(header),
+    ] + [",".join(format_value(v) for v in row) for row in zip(*columns)]
+    assert (tmp_path / "w.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def test_fidelity_command(tmp_path):

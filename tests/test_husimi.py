@@ -1,11 +1,13 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from quditcat.coherent import SymmetricState, dscs
-from quditcat.fock import CapacityError, shared_basis
+import quditcat.husimi
+from quditcat.coherent import SymmetricState, dscs, dscs_coefficients
+from quditcat.fock import CapacityError, exact_multinomial, shared_basis
 from quditcat.husimi import (
     HusimiGridSpec,
     IntegrationSpec,
@@ -79,6 +81,107 @@ def test_husimi_values_in_unit_interval(basis_3_20, rng):
     zs = np.stack([random_phase_point(rng, 3, 2.0) for _ in range(50)])
     q = husimi_values(state, zs)
     assert np.all(q >= 0.0) and np.all(q <= 1.0)
+
+
+def log_spread_points(rng, D, m):
+    """Phase points with every |z_k| log-uniform in [1e-3, 1e3], random phases."""
+    mags = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), (m, D - 1)))
+    return mags * np.exp(2j * np.pi * rng.random((m, D - 1)))
+
+
+def oracle_states(rng, basis):
+    """A parity-pure, a mixed-sector and a complex random state."""
+    codes = basis.sector_codes
+    pure = np.where(codes == 1, rng.standard_normal(basis.size), 0.0)
+    mixed = np.where(codes <= 1, rng.standard_normal(basis.size), 0.0)
+    full = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    return [SymmetricState(basis, v / np.linalg.norm(v)) for v in (pure, mixed, full)]
+
+
+@pytest.mark.parametrize(
+    "D, N", [(2, 1), (2, 40), (2, 500), (3, 2), (3, 30), (3, 500), (4, 3), (4, 40)]
+)
+def test_husimi_values_match_fock_space_oracle(D, N):
+    rng = np.random.default_rng(1000 * D + N)
+    basis = shared_basis(D, N)
+    zs = log_spread_points(rng, D, 40)
+    zs[0] = 0.0
+    zs[1, 0] = 0.0  # an exactly vanishing coordinate
+    for state in oracle_states(rng, basis):
+        expected = np.abs(dscs_coefficients(basis, zs).conj() @ state.coeffs) ** 2
+        if N == 500:
+            with np.errstate(all="raise"):
+                q = husimi_values(state, zs)
+        else:
+            q = husimi_values(state, zs)
+        assert np.all(np.isfinite(q))
+        assert np.max(np.abs(q - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("pivot", [None, 0, 2])
+def test_husimi_values_chunk_boundary_is_exact(basis_3_20, rng, pivot):
+    # pivot None mixes samples of all three pivots (largest coordinate of
+    # (1, z)); 0 and 2 put every sample on one (|z_k| < 1, or |z_2| largest)
+    state = random_state(rng, basis_3_20)
+    chunk = quditcat.husimi._chunk_rows(basis_3_20)
+    shape = (chunk + 5, 2)
+    zs = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)
+    if pivot == 0:
+        zs *= 0.2
+    elif pivot == 2:
+        zs[:, 1] = 10.0 * np.exp(1j * rng.uniform(0.0, 2 * np.pi, len(zs)))
+    hom = np.concatenate([np.ones((len(zs), 1)), np.abs(zs)], axis=1)
+    pivots = set(np.argmax(hom, axis=1).tolist())
+    assert pivots == ({0, 1, 2} if pivot is None else {pivot})
+    whole = husimi_values(state, zs)
+    halves = np.concatenate(
+        [husimi_values(state, zs[:chunk]), husimi_values(state, zs[chunk:])]
+    )
+    assert np.array_equal(whole, halves)
+
+
+def test_husimi_values_raise_past_the_prefactor_range():
+    # (N/2) ln 2 > 709 at N = 2100: the prefactor of the evenly spread
+    # coherent state overflows at z = 0, which must not clamp Q to 1
+    state = dscs(shared_basis(2, 2100), [1.0])
+    with pytest.raises(FloatingPointError):
+        husimi_values(state, np.zeros((1, 1)))
+
+
+def mpmath_husimi(state, z) -> float:
+    """|sum_n sqrt(N!/prod n_i!) psi_n conj(u)^n|^2 summed with 60 digits."""
+    basis = state.basis
+    with mpmath.workdps(60):
+        hom = [mpmath.mpc(1)] + [mpmath.mpc(complex(v)) for v in z]
+        norm = mpmath.sqrt(mpmath.fsum(abs(v) ** 2 for v in hom))
+        powers = [[mpmath.mpc(1)] for _ in hom]
+        for k, v in enumerate(hom):
+            for _ in range(basis.N):
+                powers[k].append(powers[k][-1] * mpmath.conj(v / norm))
+        amp = mpmath.mpc(0)
+        for n, c in zip(basis.states.tolist(), state.coeffs.tolist()):
+            if c:
+                term = mpmath.sqrt(exact_multinomial(n)) * mpmath.mpc(c)
+                for k, nk in enumerate(n):
+                    term *= powers[k][nk]
+                amp += term
+        return float(abs(amp) ** 2)
+
+
+def test_husimi_values_match_mpmath_sum():
+    basis = shared_basis(3, 100)
+    far = np.array([300.0 * np.exp(0.4j), -120.0 * np.exp(1.1j)])
+    coherent = dscs(basis, far)
+    cat = dcat(basis, CatSpec([0.6, 0.5], (1, 0), 100))
+    cases = [
+        (coherent, far),  # Q = 1 at |z| = 325
+        (coherent, far * np.array([1.0, 1.05])),
+        (cat, np.array([0.6, 0.5])),  # a hump, Q = 1/4
+        (cat, np.array([0.02, 0.4])),
+        (cat, np.array([2.0, -3.0j])),
+    ]
+    for state, z in cases:
+        assert abs(husimi_value(state, z) - mpmath_husimi(state, z)) <= 1e-13
 
 
 # -------------------------------------------------------------- haar sampling
