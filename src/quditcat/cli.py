@@ -42,17 +42,22 @@ from .husimi import (
     wehrl_entropy,
 )
 from .lmg import DiagonalizationError, LMGParams, build_hamiltonian, diagonalize
+from .parity import all_parity_labels
 from .selftest import run_selftest
-from .variational import critical_point, fidelity, maximize_overlap, variational_cat
+from .variational import (
+    TRACKED_STATES,
+    branch_centers,
+    critical_point,
+    fidelity,
+    maximize_overlap,
+    sector_minima,
+    variational_cat,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CAPACITY = 4
-
-# low-lying eigenstates tracked by parity sector, indexed by their
-# position in the non-interacting spectrum
-TRACKED_STATES = {0: (0, 0), 1: (1, 0), 3: (0, 1), 5: (1, 1)}
 
 
 class ConfigError(Exception):
@@ -246,32 +251,8 @@ def _pool_map(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-def _sector_minima(spectrum) -> dict[tuple[int, ...], int]:
-    """Lowest eigenstate index of each parity sector."""
-    first: dict[tuple[int, ...], int] = {}
-    for idx, label in enumerate(spectrum.parities):
-        first.setdefault(label, idx)
-    return first
-
-
 def _bits(label) -> str:
     return "".join(str(b) for b in label)
-
-
-def branch_centers(D: int, lam: float, epsilon: float = 1.0) -> np.ndarray:
-    """Sign-flipped critical coherent parameters, the cat's branch points."""
-    if D != 3:
-        raise ConfigError("branch centers use the D = 3 critical point")
-    cp = critical_point(epsilon, lam)
-    z = np.array([cp.z1, cp.z2])
-    nonzero = [i for i in range(2) if z[i] > 0]
-    points = set()
-    for signs in itertools.product((1.0, -1.0), repeat=len(nonzero)):
-        w = z.copy()
-        for sgn, i in zip(signs, nonzero):
-            w[i] *= sgn
-        points.add(tuple(w))
-    return np.asarray(sorted(points), dtype=complex)
 
 
 def cmd_spectrum(cfg: ExperimentConfig) -> None:
@@ -308,7 +289,7 @@ def cmd_fidelity(cfg: ExperimentConfig) -> None:
         lam = float(lam)
         params = LMGParams(3, N, 1.0, lam)
         spec = diagonalize(build_hamiltonian(params, basis), basis, k=cfg.levels + 2)
-        minima = _sector_minima(spec)
+        minima = sector_minima(spec)
         cp = critical_point(1.0, lam)
         out = []
         for state_idx, label in TRACKED_STATES.items():
@@ -336,7 +317,7 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
         raise ConfigError("Husimi maps are emitted for D = 3")
     N = cfg.N[0]
     basis = shared_basis(3, N)
-    labels = cfg.parities or tuple(itertools.product((0, 1), repeat=2))
+    labels = cfg.parities or tuple(all_parity_labels(3))
     grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, cfg.grid_slice)
     count_grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, "position")
 
@@ -380,7 +361,7 @@ def cmd_localization(cfg: ExperimentConfig) -> None:
         params = LMGParams(3, N, 1.0, lam)
         centers = branch_centers(3, lam) if cfg.method == "importance_mc" else None
         spec = diagonalize(build_hamiltonian(params, basis), basis, k=cfg.levels + 2)
-        minima = _sector_minima(spec)
+        minima = sector_minima(spec)
         out = []
         for kind, state in (
             ("variational", variational_cat(lam, label, params, basis)),

@@ -131,17 +131,11 @@ class FockBasis:
         return out
 
     @cached_property
-    def parity_bits(self) -> np.ndarray:
-        """Occupations of levels 1..D-1 reduced mod 2, shape (size, D-1)."""
-        bits = (self.states[:, 1:] % 2).astype(np.int8)
-        bits.setflags(write=False)
-        return bits
-
-    @cached_property
     def sector_codes(self) -> np.ndarray:
-        """Parity sector of each state packed as an integer, c_1 most significant."""
+        """Parity sector of each state as its label's index in
+        `parity.all_parity_labels(D)`: n_1..n_{D-1} mod 2 in binary, n_1 highest."""
         weights = 1 << np.arange(self.D - 2, -1, -1)
-        codes = self.parity_bits.astype(np.int64) @ weights
+        codes = (self.states[:, 1:] % 2) @ weights
         codes.setflags(write=False)
         return codes
 

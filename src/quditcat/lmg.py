@@ -133,8 +133,7 @@ def classify_parity(state: SymmetricState) -> tuple[tuple[int, ...], float]:
         minlength=2 ** (basis.D - 1),
     )
     code = int(np.argmax(weights))
-    bits = tuple((code >> shift) & 1 for shift in range(basis.D - 2, -1, -1))
-    return bits, float(weights[code])
+    return all_parity_labels(basis.D)[code], float(weights[code])
 
 
 def diagonalize(

@@ -1,4 +1,4 @@
-"""Z2^(D-1) parity machinery: characters, projectors, and cat states.
+"""Z2^(D-1) parity machinery: characters, sectors, projectors, and cat states.
 
 The level-population parities Pi_j = exp(i pi S_jj), j = 1..D-1, generate
 the finite group Z2^(D-1) (the level-0 parity is fixed by the total
@@ -7,14 +7,17 @@ invariant subspaces; projecting a coherent state |z> onto the sector c and
 renormalizing yields a generalized Schroedinger cat, a superposition of
 the 2^(D-1) sign-flipped coherent branches |z^b>.
 
+A sector's code is its label's index in `all_parity_labels(D)`;
+`FockBasis.sector_codes` holds it for every basis state.
+
 On sector c the coherent amplitudes sqrt(N!/prod n_i!) z^n all carry the
 common factor z^c, because n_i - c_i is even.  Dividing it out leaves
 amplitudes sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z) that stay finite when
 a coordinate vanishes; at z_i = 0 only n_i = c_i survives, which is the
 reduced-cat limit: a cat of the non-zero coordinates with one particle
 created in each level i where z_i = 0 and c_i = 1.  `cat_amplitudes`
-evaluates this one formula, so every (z, c) pair maps to a well-defined
-unit-norm state.
+resolves a sector once and returns this one formula as a map of z, so
+every (z, c) pair maps to a well-defined unit-norm state.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ def parity_of(n) -> tuple[int, ...]:
 
 def sector_mask(basis: FockBasis, c) -> np.ndarray:
     """Boolean mask of the basis states belonging to parity sector c."""
-    bits = _as_bits(c, basis.D)
-    return np.all(basis.parity_bits == bits.astype(np.int8), axis=1)
+    label = tuple(int(v) for v in _as_bits(c, basis.D))
+    return basis.sector_codes == all_parity_labels(basis.D).index(label)
 
 
 def project_parity(
@@ -159,16 +162,16 @@ def cat_norm(spec: CatSpec) -> float:
     return float(np.sqrt(cat_norm_sq(spec)))
 
 
-def cat_amplitudes(basis: FockBasis, z, c) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of sector c and the cat's unnormalized amplitudes on them.
+def cat_amplitudes(basis: FockBasis, c):
+    """Indices of sector c and the map z -> the cat's amplitudes on them.
 
-    The amplitudes are sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z), i.e. the
-    coherent amplitudes with the common factor z^c divided out, evaluated
-    in log space and scaled so that the largest modulus is 1.  A
-    coordinate that is exactly zero keeps only the states with n_i = c_i
-    (0^0 = 1); the state n = (N - |c|, c) always survives.
+    c is checked and its sector resolved here, once.  amplitudes(z) does not
+    check z; it returns sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z), the
+    coherent amplitudes with the common factor z^c divided out, in log space
+    and scaled so that the largest modulus is 1.  A coordinate that is
+    exactly zero keeps only the states with n_i = c_i (0^0 = 1); the state
+    n = (N - |c|, c) always survives.
     """
-    z = as_phase_point(z, basis.D)
     c = _as_bits(c, basis.D)
     if basis.N < c.sum():
         raise ValueError(
@@ -177,12 +180,15 @@ def cat_amplitudes(basis: FockBasis, z, c) -> tuple[np.ndarray, np.ndarray]:
     idx = np.nonzero(sector_mask(basis, c))[0]
     n = basis.states[idx, 1:]
     excess = n - c
-    mag = np.abs(z)
-    log_amp = 0.5 * basis.log_multinomials[idx] + excess @ np.log(
-        np.where(mag > 0.0, mag, 1.0)
-    )
-    log_amp[np.any(excess[:, mag == 0.0] > 0, axis=1)] = -np.inf
-    return idx, np.exp(log_amp - log_amp.max() + 1j * (n @ np.angle(z)))
+    log_weight = 0.5 * basis.log_multinomials[idx]
+
+    def amplitudes(z: np.ndarray) -> np.ndarray:
+        mag = np.abs(z)
+        log_amp = log_weight + excess @ np.log(np.where(mag > 0.0, mag, 1.0))
+        log_amp[np.any(excess[:, mag == 0.0] > 0, axis=1)] = -np.inf
+        return np.exp(log_amp - log_amp.max() + 1j * (n @ np.angle(z)))
+
+    return idx, amplitudes
 
 
 def dcat(basis: FockBasis, spec: CatSpec) -> SymmetricState:
@@ -197,7 +203,8 @@ def dcat(basis: FockBasis, spec: CatSpec) -> SymmetricState:
             f"spec (D={spec.D}, N={spec.N}) does not match basis "
             f"(D={basis.D}, N={basis.N})"
         )
-    idx, amps = cat_amplitudes(basis, spec.z, spec.c)
+    idx, amplitudes = cat_amplitudes(basis, spec.c)
+    amps = amplitudes(np.asarray(spec.z))
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[idx] = amps / np.linalg.norm(amps)
     return SymmetricState(basis, coeffs)

@@ -23,12 +23,17 @@ from scipy.optimize import minimize
 from .coherent import SymmetricState, cs_expectation, cs_quadratic_expectation
 from .fock import FockBasis
 from .lmg import LMGParams, build_hamiltonian
-from .parity import CatSpec, cat_amplitudes, dcat, sector_mask
+from .parity import CatSpec, all_parity_labels, apply_parity_flip, cat_amplitudes, dcat
 
 # overlap search: GRID_POINTS^2 starts on [0, GRID_MAX]^2, Nelder-Mead from each
 GRID_POINTS = 5
 GRID_MAX = 1.2
-MAXITER = 500
+# options of every Nelder-Mead search over cat coordinates
+NELDER_MEAD = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 500}
+
+# low-lying eigenstates tracked by parity sector, indexed by their
+# position in the non-interacting spectrum
+TRACKED_STATES = {0: (0, 0), 1: (1, 0), 3: (0, 1), 5: (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -97,6 +102,17 @@ def critical_point(epsilon: float, lam: float) -> CriticalPoint:
     return CriticalPoint(float(z1), float(z2), "III", lam)
 
 
+def branch_centers(D: int, lam: float, epsilon: float = 1.0) -> np.ndarray:
+    """Distinct sign flips of the critical point, the cat's branch points, ascending."""
+    if D != 3:
+        raise ValueError("branch centers use the D = 3 critical point")
+    cp = critical_point(epsilon, lam)
+    z = np.array([cp.z1, cp.z2])
+    # + 0.0 turns the -0.0 of a flipped zero coordinate into +0.0
+    points = {tuple(apply_parity_flip(b, z).real + 0.0) for b in all_parity_labels(3)}
+    return np.asarray(sorted(points), dtype=complex)
+
+
 def gs_energy_limit(epsilon: float, lam: float) -> float:
     """Ground-state energy density in the large-N limit (D = 3).
 
@@ -135,19 +151,14 @@ def variational_cat(
     z = np.array([cp.z1, cp.z2], dtype=complex)
     if minimize_energy:
         H = build_hamiltonian(LMGParams(3, params.N, params.epsilon, lam), basis)
-        idx = np.nonzero(sector_mask(basis, c))[0]
+        idx, amplitudes = cat_amplitudes(basis, c)
         H_cc = H[idx][:, idx]
 
         def cat_energy(x):
-            _, a = cat_amplitudes(basis, np.abs(x), c)
+            a = amplitudes(np.abs(x))
             return float(np.vdot(a, H_cc @ a).real / np.vdot(a, a).real)
 
-        best = minimize(
-            cat_energy,
-            x0=np.array([cp.z1, cp.z2]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": 500},
-        )
+        best = minimize(cat_energy, x0=z.real, method="Nelder-Mead", options=NELDER_MEAD)
         z = np.abs(best.x).astype(complex)
     return dcat(basis, CatSpec(z, c, params.N))
 
@@ -155,6 +166,14 @@ def variational_cat(
 def fidelity(a: SymmetricState, b: SymmetricState) -> float:
     """|<a|b>|^2 between two states over the same basis."""
     return min(abs(a.inner(b)) ** 2, 1.0)
+
+
+def sector_minima(spectrum) -> dict[tuple[int, ...], int]:
+    """Index of the lowest eigenstate of each parity sector in a spectrum."""
+    first: dict[tuple[int, ...], int] = {}
+    for idx, label in enumerate(spectrum.parities):
+        first.setdefault(label, idx)
+    return first
 
 
 def maximize_overlap(
@@ -168,8 +187,8 @@ def maximize_overlap(
     from a fixed grid of starts on [0, GRID_MAX]^2 plus any extra starts
     (e.g. the critical point), so the result is deterministic.  F has the
     closed form |<a|psi_c>|^2 / <a|a> in the sector amplitudes a of
-    `cat_amplitudes`, so no state is built per step.  The objective has
-    mirror-image maxima at all sign flips; coordinates are reported in the
+    `cat_amplitudes`, built once, so no state or sector is built per step.
+    The objective has mirror-image maxima at all sign flips; coordinates are reported in the
     non-negative quadrant.
 
     Returns (z_max, F_max).  Raises if every start fails to converge.
@@ -177,10 +196,11 @@ def maximize_overlap(
     basis = psi.basis
     if basis.D != 3:
         raise ValueError("overlap maximization uses the D = 3 search space")
-    psi_c = psi.coeffs[sector_mask(basis, c)]
+    idx, amplitudes = cat_amplitudes(basis, c)
+    psi_c = psi.coeffs[idx]
 
     def neg_fidelity(x):
-        _, a = cat_amplitudes(basis, np.abs(x), c)
+        a = amplitudes(np.abs(x))
         return -min(abs(np.vdot(a, psi_c)) ** 2 / np.vdot(a, a).real, 1.0)
 
     axis = np.linspace(0.0, GRID_MAX, GRID_POINTS)
@@ -190,12 +210,7 @@ def maximize_overlap(
     best_x, best_f = None, np.inf
     failures = 0
     for x0 in starts:
-        res = minimize(
-            neg_fidelity,
-            x0=x0,
-            method="Nelder-Mead",
-            options={"xatol": 1e-8, "fatol": 1e-12, "maxiter": MAXITER},
-        )
+        res = minimize(neg_fidelity, x0=x0, method="Nelder-Mead", options=NELDER_MEAD)
         if not res.success:
             failures += 1
             if not np.isfinite(res.fun):

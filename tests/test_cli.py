@@ -14,9 +14,9 @@ from quditcat.cli import (
     EXIT_CONFIG,
     ExperimentConfig,
     _write_csv,
-    branch_centers,
     main,
 )
+from quditcat.variational import branch_centers, critical_point
 
 
 def run_cli(args, out_path):
@@ -293,9 +293,20 @@ def test_stdout_output():
 
 
 def test_branch_centers_structure():
-    assert branch_centers(3, 0.1).shape == (1, 2)
-    assert branch_centers(3, 1.0).shape == (2, 2)
-    assert branch_centers(3, 2.5).shape == (4, 2)
+    # the importance-sampling stream depends on the order of the centers and
+    # on the sign of their zeros, so both are pinned exactly
+    z1 = critical_point(1.0, 1.0).z1
+    assert np.array_equal(branch_centers(3, 0.1), [[0.0, 0.0]])
+    assert np.array_equal(branch_centers(3, 1.0), [[-z1, 0.0], [z1, 0.0]])
+    z1, z2 = critical_point(1.0, 2.5).z1, critical_point(1.0, 2.5).z2
+    assert np.array_equal(
+        branch_centers(3, 2.5), [[-z1, -z2], [-z1, z2], [z1, -z2], [z1, z2]]
+    )
+    for lam in (0.1, 1.0, 2.5):
+        centers = branch_centers(3, lam)
+        assert centers.dtype == complex
+        parts = np.concatenate([centers.real.ravel(), centers.imag.ravel()])
+        assert not np.any(np.signbit(parts[parts == 0.0]))
 
 
 def test_selftest_help_runs():

@@ -17,7 +17,7 @@ from quditcat.lmg import (
     classify_parity,
     diagonalize,
 )
-from quditcat.parity import CatSpec, dcat
+from quditcat.parity import CatSpec, all_parity_labels, dcat, parity_of, sector_mask
 from quditcat.variational import finite_N_energy
 
 from conftest import random_phase_point
@@ -226,6 +226,25 @@ def test_classify_parity_equal_mixture(basis_3_20):
     label, certainty = classify_parity(mix)
     assert abs(certainty - 0.5) < 1e-12
     assert label == (0, 0)  # lexicographic tie-break
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_sector_encodings_agree_on_every_basis_state(D):
+    N = 5  # enough particles to populate all 2^(D-1) sectors at D = 5
+    basis = shared_basis(D, N)
+    labels = all_parity_labels(D)
+    own = [parity_of(n) for n in basis.states]
+    assert [labels[code] for code in basis.sector_codes] == own
+    for label in labels:
+        assert np.array_equal(sector_mask(basis, label), [p == label for p in own])
+    for i, label in enumerate(own):
+        coeffs = np.zeros(basis.size)
+        coeffs[i] = 1.0
+        assert classify_parity(SymmetricState(basis, coeffs)) == (label, 1.0)
+    spec = diagonalize(build_hamiltonian(LMGParams(D, N, 1.0, 0.8), basis), basis)
+    assert sorted(set(spec.parities)) == labels
+    for label, state in zip(spec.parities, spec.eigenstates):
+        assert all(own[i] == label for i in np.nonzero(state.coeffs)[0])
 
 
 def test_spectrum_sweep_rows_and_errors(tmp_path):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import quditcat.parity
+import quditcat.variational
 from quditcat.coherent import dscs
 from quditcat.fock import shared_basis
 from quditcat.lmg import LMGParams, build_hamiltonian, diagonalize
@@ -248,3 +250,40 @@ def test_maximize_overlap_tracks_critical_point_at_extremes():
         )
         assert f_max > 0.85
         assert np.allclose(z_max, [cp.z1, cp.z2], atol=0.12)
+
+
+def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
+    # the sector of c is checked and resolved when the search starts; no
+    # Nelder-Mead step repeats it, however many steps the search takes
+    calls = {"_as_bits": 0, "sector_mask": 0}
+    for name in calls:
+        original = getattr(quditcat.parity, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(quditcat.parity, name, counted)
+    steps = []
+    real_minimize = quditcat.variational.minimize
+
+    def counted_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        steps[-1] += res.nfev
+        return res
+
+    monkeypatch.setattr(quditcat.variational, "minimize", counted_minimize)
+
+    basis = shared_basis(3, 8)
+    params = LMGParams(3, 8, 1.0, 1.0)
+    target = diagonalize(build_hamiltonian(params, basis), basis, k=1).eigenstates[0]
+    per_search = []
+    for extra in ((), [(0.3, 0.2), (0.9, 0.1), (0.5, 0.5)]):
+        steps.append(0)
+        for name in calls:
+            calls[name] = 0
+        maximize_overlap(target, (0, 0), extra_starts=extra)
+        per_search.append(dict(calls))
+    assert steps[1] > steps[0] > 1000
+    assert per_search[0] == per_search[1]
+    assert 1 <= per_search[0]["sector_mask"] <= 2
