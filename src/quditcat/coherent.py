@@ -64,7 +64,8 @@ class SymmetricState:
                 f"coefficient vector has length {self.coeffs.shape}, "
                 f"basis size is {self.basis.size}"
             )
-        if self.normalized and abs(self.norm() - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails the check too
+        if self.normalized and not abs(self.norm() - 1.0) <= NORM_TOL:
             raise ValueError(f"state norm {self.norm()} not 1 within {NORM_TOL}")
 
     def norm(self) -> float:

@@ -149,9 +149,12 @@ def _amplitude_weights(state: SymmetricState) -> tuple[np.ndarray, float]:
     The weights are at most 1 in modulus and the scale s is carried
     separately, so nothing overflows at N in the hundreds.  Coefficients
     below the smallest normal double are dropped: c_n / |c_n| is inf+nanj
-    there, and each adds less than 1e-307 to any amplitude.
+    there, and each adds less than 1e-307 to any amplitude.  A non-finite
+    coefficient raises FloatingPointError.
     """
     basis = state.basis
+    if not np.all(np.isfinite(state.coeffs)):
+        raise FloatingPointError("state has a non-finite coefficient")
     mags = np.abs(state.coeffs)
     nz = mags >= np.finfo(float).tiny
     weights = np.zeros(basis.size, dtype=complex)
@@ -370,6 +373,8 @@ def moment_analytic(
             )
             out[window] += val * result
         result = out
+    if not np.all(np.isfinite(result)):
+        raise FloatingPointError(f"moment convolution of order {nu} is not finite")
 
     ks = np.indices(result.shape, dtype=np.int64)
     ksum = ks.sum(axis=0)
@@ -532,8 +537,9 @@ def count_humps(state: SymmetricState, spec: HusimiGridSpec) -> int:
 
     Plateau cells tied with their neighbours are merged into a single
     hump (8-connectivity), implementing the closer-than-one-cell merge
-    rule.  A warning is raised when two nearby humps differ by less than
-    1e-6 in Q, where the merge decision is ambiguous.
+    rule.  A warning is raised when two humps only one cell apart differ
+    by less than 1e-6 in Q, where the merge decision is ambiguous; equal
+    humps further apart, such as the mirror images of a cat, are distinct.
     """
     if spec.slice != "position":
         raise ValueError("hump counting is defined on the position slice")
@@ -575,11 +581,16 @@ def count_map_humps(q: np.ndarray) -> int:
 
     structure = np.ones((3,) * n_axes, dtype=int)
     labels, count = ndimage.label(is_max, structure=structure)
-    if count > 1:
-        peaks = np.sort(ndimage.maximum(q, labels, index=np.arange(1, count + 1)))
-        if np.min(np.diff(peaks)) < 1e-6:
+    peaks = ndimage.maximum(q, labels, index=np.arange(1, count + 1))
+    reach = np.ones((5,) * n_axes, dtype=bool)  # cells at most two apart
+    for i in range(1, count):
+        near = np.unique(labels[ndimage.binary_dilation(labels == i, reach)])
+        near = near[near > i]
+        if np.any(np.abs(peaks[near - 1] - peaks[i - 1]) < 1e-6):
             warnings.warn(
-                "merge ambiguity: two humps differ by less than 1e-6 in Q",
+                "merge ambiguity: two humps one cell apart differ by less "
+                "than 1e-6 in Q",
                 stacklevel=2,
             )
+            break
     return int(count)

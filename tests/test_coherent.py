@@ -201,3 +201,11 @@ def test_state_norm_validation():
     with pytest.raises(ValueError):
         SymmetricState(basis, np.ones(basis.size))
     SymmetricState(basis, np.ones(basis.size), normalized=False)
+
+
+def test_state_norm_validation_rejects_nan():
+    basis = shared_basis(3, 6)
+    coeffs = dscs(basis, [0.3, 0.5]).coeffs.copy()
+    coeffs[4] = np.nan
+    with pytest.raises(ValueError, match="norm"):
+        SymmetricState(basis, coeffs)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from quditcat.husimi import (
     HusimiGridSpec,
     IntegrationSpec,
     count_humps,
+    count_map_humps,
     dscs_moment_exact,
     dscs_wehrl_exact,
     haar_sample,
@@ -244,6 +246,29 @@ def test_moment_analytic_single_particle():
     report = moment_analytic(dscs(basis, [0.0, 0.0]), 2)
     assert abs(report.value - 0.5) < 1e-14
     assert report.std_error == 0.0
+
+
+def test_non_finite_coefficient_raises_in_the_kernel_and_the_moments():
+    # normalized=False skips the norm check, so the kernels must catch it
+    basis = shared_basis(3, 6)
+    coeffs = dscs(basis, [0.3, 0.5]).coeffs.copy()
+    coeffs[4] = np.nan
+    state = SymmetricState(basis, coeffs, normalized=False)
+    with pytest.raises(FloatingPointError):
+        husimi_values(state, np.array([[0.1, 0.2]]))
+    with pytest.raises(FloatingPointError):
+        moment_analytic(state, 2)
+
+
+def test_moment_analytic_raises_on_non_finite_convolution(monkeypatch):
+    basis = shared_basis(3, 6)
+    weights, scale = quditcat.husimi._amplitude_weights(dscs(basis, [0.3, 0.5]))
+    weights[4] = np.nan
+    monkeypatch.setattr(
+        quditcat.husimi, "_amplitude_weights", lambda state: (weights, scale)
+    )
+    with pytest.raises(FloatingPointError, match="not finite"):
+        moment_analytic(dscs(basis, [0.3, 0.5]), 2)
 
 
 def test_moment_analytic_z_independent(basis_3_10, rng):
@@ -513,8 +538,23 @@ def test_count_humps_requires_resolution(basis_3_20):
         count_humps(state, HusimiGridSpec(points=32))
 
 
-def test_count_humps_warns_on_equal_peaks(basis_3_20):
-    # symmetric cat humps are exactly equal in height
+def test_count_humps_mirror_symmetric_cat_does_not_warn(basis_3_20):
+    # the four humps of a symmetric cat are exactly equal in height, but
+    # they lie far apart, so counting them is not ambiguous
     cat = dcat(basis_3_20, CatSpec([0.6, 0.6], (0, 0), 20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_humps(cat, HusimiGridSpec(points=64)) == 4
+
+
+def test_count_map_humps_warns_on_equal_maxima_one_cell_apart():
+    q = np.zeros((64, 64))
+    q[30, 30] = q[30, 32] = 1.0
+    q[30, 31] = 0.5
     with pytest.warns(UserWarning, match="merge ambiguity"):
-        count_humps(cat, HusimiGridSpec(points=64))
+        assert count_map_humps(q) == 2
+    # two cells between them: two distinct humps, nothing to warn about
+    q[30, 32], q[30, 33] = 0.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert count_map_humps(q) == 2
