@@ -136,7 +136,7 @@ def cat_norm_sq(spec: CatSpec) -> float:
     total = float(mag2.sum())
     logmags = []
     signs = []
-    for b in itertools.product((0, 1), repeat=len(spec.c)):
+    for b in all_parity_labels(spec.D):
         b = np.asarray(b)
         # z'z^b is real: sum of (-1)^{b_i} |z_i|^2
         base = 1.0 + float(np.where(b == 1, -mag2, mag2).sum())

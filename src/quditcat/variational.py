@@ -188,8 +188,8 @@ def maximize_overlap(
     (e.g. the critical point), so the result is deterministic.  F has the
     closed form |<a|psi_c>|^2 / <a|a> in the sector amplitudes a of
     `cat_amplitudes`, built once, so no state or sector is built per step.
-    The objective has mirror-image maxima at all sign flips; coordinates are reported in the
-    non-negative quadrant.
+    The objective has mirror-image maxima at all sign flips; coordinates
+    are reported in the non-negative quadrant.
 
     Returns (z_max, F_max).  Raises if every start fails to converge.
     """
