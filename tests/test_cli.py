@@ -298,7 +298,8 @@ def test_branch_centers_structure():
     z1 = critical_point(1.0, 1.0).z1
     assert np.array_equal(branch_centers(3, 0.1), [[0.0, 0.0]])
     assert np.array_equal(branch_centers(3, 1.0), [[-z1, 0.0], [z1, 0.0]])
-    z1, z2 = critical_point(1.0, 2.5).z1, critical_point(1.0, 2.5).z2
+    cp = critical_point(1.0, 2.5)
+    z1, z2 = cp.z1, cp.z2
     assert np.array_equal(
         branch_centers(3, 2.5), [[-z1, -z2], [-z1, z2], [z1, -z2], [z1, z2]]
     )
