@@ -8,6 +8,7 @@ LMG model (`lmg`) and its variational analysis (`variational`).  The
 """
 
 from .coherent import (
+    NormError,
     SymmetricState,
     cs_expectation,
     cs_quadratic_expectation,
@@ -57,6 +58,7 @@ from .variational import (
     finite_N_energy,
     gs_energy_limit,
     maximize_overlap,
+    overlap_objective,
     variational_cat,
 )
 

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .coherent import NormError
 from .fock import CapacityError, shared_basis
 from .husimi import (
     HusimiGridSpec,
@@ -435,15 +436,18 @@ def main(argv=None) -> int:
     try:
         cfg = _build_config(args)
         COMMANDS[cfg.command](cfg)
+    # NormError is a ValueError, so it is caught before the config errors
+    except (
+        DiagonalizationError, FloatingPointError, NormError, np.linalg.LinAlgError
+    ) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (DiagonalizationError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     return EXIT_OK
 
 

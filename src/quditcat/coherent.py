@@ -34,6 +34,14 @@ _LOG_ZERO = -1.0e30
 NORM_TOL = 1e-10
 
 
+class NormError(ValueError):
+    """A state that should be unit-norm is not, or its norm is not finite.
+
+    A numerical failure rather than bad input; it stays a ValueError for
+    callers that check states.
+    """
+
+
 def as_phase_point(z, D: int | None = None) -> np.ndarray:
     """Validate and convert z to a complex vector of projective coordinates."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -66,7 +74,7 @@ class SymmetricState:
             )
         # written so that a NaN norm fails the check too
         if self.normalized and not abs(self.norm() - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm {self.norm()} not 1 within {NORM_TOL}")
+            raise NormError(f"state norm {self.norm()} not 1 within {NORM_TOL}")
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

@@ -162,6 +162,20 @@ def cat_norm(spec: CatSpec) -> float:
     return float(np.sqrt(cat_norm_sq(spec)))
 
 
+def sector_indices(basis: FockBasis, c) -> np.ndarray:
+    """Indices of the basis states in sector c, which must hold a state.
+
+    Raises ValueError for a malformed label and when N < |c|, where the
+    sector is empty.
+    """
+    c = _as_bits(c, basis.D)
+    if basis.N < c.sum():
+        raise ValueError(
+            f"cannot place {int(c.sum())} excitations with only {basis.N} particles"
+        )
+    return np.nonzero(sector_mask(basis, c))[0]
+
+
 def cat_amplitudes(basis: FockBasis, c):
     """Indices of sector c and the map z -> the cat's amplitudes on them.
 
@@ -172,14 +186,10 @@ def cat_amplitudes(basis: FockBasis, c):
     exactly zero keeps only the states with n_i = c_i (0^0 = 1); the state
     n = (N - |c|, c) always survives.
     """
-    c = _as_bits(c, basis.D)
-    if basis.N < c.sum():
-        raise ValueError(
-            f"cannot place {int(c.sum())} excitations with only {basis.N} particles"
-        )
-    idx = np.nonzero(sector_mask(basis, c))[0]
+    idx = sector_indices(basis, c)
     n = basis.states[idx, 1:]
-    excess = n - c
+    # on the sector c_i = n_i mod 2
+    excess = n - n % 2
     log_weight = 0.5 * basis.log_multinomials[idx]
 
     def amplitudes(z: np.ndarray) -> np.ndarray:

@@ -23,13 +23,20 @@ from scipy.optimize import minimize
 from .coherent import SymmetricState, cs_expectation, cs_quadratic_expectation
 from .fock import FockBasis
 from .lmg import LMGParams, build_hamiltonian
-from .parity import CatSpec, all_parity_labels, apply_parity_flip, cat_amplitudes, dcat
+from .parity import (
+    CatSpec,
+    all_parity_labels,
+    apply_parity_flip,
+    cat_amplitudes,
+    dcat,
+    sector_indices,
+)
 
 # overlap search: GRID_POINTS^2 starts on [0, GRID_MAX]^2, Nelder-Mead from each
 GRID_POINTS = 5
 GRID_MAX = 1.2
 # options of every Nelder-Mead search over cat coordinates
-NELDER_MEAD = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 500}
+NELDER_MEAD = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000}
 
 # low-lying eigenstates tracked by parity sector, indexed by their
 # position in the non-interacting spectrum
@@ -176,6 +183,64 @@ def sector_minima(spectrum) -> dict[tuple[int, ...], int]:
     return first
 
 
+def overlap_objective(psi: SymmetricState, c):
+    """The map x -> F(x) = |<x_c|psi>|^2 over real cat coordinates (D = 3).
+
+    On sector c the cat amplitudes at real x are sqrt(N!/prod n_i!) u^k with
+    u = (1, x1^2, x2^2) and half-excess k = n // 2 (so 2 k_i = n_i - c_i for
+    i >= 1), homogeneous of degree K = (N - |c|) // 2.  Dividing by u_p^K for
+    the largest u_p leaves ratios r = u / u_p <= 1, so with t_i = r_i^(0..K)
+    on the two non-pivot modes a, b,
+
+        F(x) = |t_a G_p t_b|^2 / ((t_a^2) M_p (t_b^2)),
+
+    where M_p holds the multinomials over the largest one, indexed by
+    (k_a, k_b), and G_p their square roots times conj(psi_c).  The six grids
+    are built here, once; F takes no exp, log or phase per sector state, and
+    no term exceeds 1.  The denominator is at least the smallest entry of M,
+    at a corner of the grid; where that is below the smallest normal double
+    (N > 650 at D = 3) building the grids raises FloatingPointError rather
+    than let F become 0/0.
+    """
+    basis = psi.basis
+    if basis.D != 3:
+        raise ValueError("overlap maximization uses the D = 3 search space")
+    idx = sector_indices(basis, c)
+    k = basis.states[idx] // 2
+    log_mult = basis.log_multinomials[idx]
+    weight = np.exp(log_mult - log_mult.max())
+    if weight.min() < np.finfo(float).tiny:
+        raise FloatingPointError(
+            f"overlap grid at N = {basis.N} leaves the double range: "
+            "its smallest multinomial ratio underflows"
+        )
+    amp = np.sqrt(weight) * np.conj(psi.coeffs[idx])
+    if not amp.imag.any():
+        amp = amp.real
+    size = int(k[0].sum()) + 1
+    powers = np.arange(float(size))
+    grids = []
+    for p in range(3):
+        a, b = (i for i in range(3) if i != p)
+        G = np.zeros((size, size), dtype=amp.dtype)
+        M = np.zeros((size, size))
+        G[k[:, a], k[:, b]] = amp
+        M[k[:, a], k[:, b]] = weight
+        grids.append((a, b, G, M))
+
+    def fidelity_at(x: np.ndarray) -> float:
+        x1, x2 = x.tolist()
+        u = (1.0, x1 * x1, x2 * x2)
+        p = u.index(max(u))
+        a, b, G, M = grids[p]
+        t_a = (u[a] / u[p]) ** powers
+        t_b = (u[b] / u[p]) ** powers
+        num = t_a @ G @ t_b
+        return min(abs(num) ** 2 / ((t_a * t_a) @ M @ (t_b * t_b)), 1.0)
+
+    return fidelity_at
+
+
 def maximize_overlap(
     psi: SymmetricState,
     c,
@@ -185,23 +250,18 @@ def maximize_overlap(
 
     Maximizes F(z) = |<z_c|psi>|^2 over real (z1, z2) with Nelder-Mead
     from a fixed grid of starts on [0, GRID_MAX]^2 plus any extra starts
-    (e.g. the critical point), so the result is deterministic.  F has the
-    closed form |<a|psi_c>|^2 / <a|a> in the sector amplitudes a of
-    `cat_amplitudes`, built once, so no state or sector is built per step.
-    The objective has mirror-image maxima at all sign flips; coordinates
-    are reported in the non-negative quadrant.
+    (e.g. the critical point), so the result is deterministic.  F is the
+    bilinear form of `overlap_objective`, built once per search, so no
+    amplitude vector is built per step.  The objective has mirror-image
+    maxima at all sign flips; coordinates are reported in the non-negative
+    quadrant.
 
     Returns (z_max, F_max).  Raises if every start fails to converge.
     """
-    basis = psi.basis
-    if basis.D != 3:
-        raise ValueError("overlap maximization uses the D = 3 search space")
-    idx, amplitudes = cat_amplitudes(basis, c)
-    psi_c = psi.coeffs[idx]
+    fidelity_at = overlap_objective(psi, c)
 
     def neg_fidelity(x):
-        a = amplitudes(np.abs(x))
-        return -min(abs(np.vdot(a, psi_c)) ** 2 / np.vdot(a, a).real, 1.0)
+        return -fidelity_at(x)
 
     axis = np.linspace(0.0, GRID_MAX, GRID_POINTS)
     starts = [np.array([a, b]) for a in axis for b in axis]

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import quditcat.husimi
+import quditcat.lmg
 from quditcat import __version__
 from quditcat.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     ExperimentConfig,
     _write_csv,
     main,
@@ -268,6 +270,24 @@ def test_capacity_exit_code(tmp_path):
         tmp_path / "x.csv",
     )
     assert rc == EXIT_CAPACITY
+
+
+def test_nan_eigenvector_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # a NaN eigenvector passes the residual check (NaN > tol is False) and
+    # fails the state norm check, a ValueError that is not a config error
+    real_eigh = quditcat.lmg.scipy.linalg.eigh
+
+    def nan_eigh(*args, **kwargs):
+        vals, vecs = real_eigh(*args, **kwargs)
+        vecs[:, 0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(quditcat.lmg.scipy.linalg, "eigh", nan_eigh)
+    for command in ("spectrum", "fidelity"):
+        out = tmp_path / f"{command}.csv"
+        assert run_cli([command, "--N", "8", "--lambda-values", "1.0"], out) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

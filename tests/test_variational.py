@@ -7,17 +7,20 @@ from scipy.optimize import minimize
 
 import quditcat.parity
 import quditcat.variational
-from quditcat.coherent import dscs
+from quditcat.coherent import SymmetricState, dscs
 from quditcat.fock import shared_basis
 from quditcat.lmg import LMGParams, build_hamiltonian, diagonalize
-from quditcat.parity import CatSpec, dcat
+from quditcat.parity import CatSpec, all_parity_labels, cat_amplitudes, dcat
 from quditcat.variational import (
+    NELDER_MEAD,
     critical_point,
     energy_surface,
     fidelity,
     finite_N_energy,
     gs_energy_limit,
     maximize_overlap,
+    overlap_objective,
+    sector_minima,
     variational_cat,
 )
 
@@ -287,3 +290,104 @@ def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
     assert steps[1] > steps[0] > 1000
     assert per_search[0] == per_search[1]
     assert 1 <= per_search[0]["sector_mask"] <= 2
+
+
+def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_20):
+    # the G/M grids are built when the search starts, and no Nelder-Mead
+    # step builds cat amplitudes
+    builds = []
+    real_objective = quditcat.variational.overlap_objective
+
+    def counted_objective(*args, **kwargs):
+        builds.append(1)
+        return real_objective(*args, **kwargs)
+
+    def no_amplitudes(*args, **kwargs):
+        raise AssertionError("an overlap search built cat amplitudes")
+
+    steps = []
+    real_minimize = quditcat.variational.minimize
+
+    def counted_minimize(*args, **kwargs):
+        res = real_minimize(*args, **kwargs)
+        steps[-1] += res.nfev
+        return res
+
+    monkeypatch.setattr(quditcat.variational, "overlap_objective", counted_objective)
+    monkeypatch.setattr(quditcat.variational, "cat_amplitudes", no_amplitudes)
+    monkeypatch.setattr(quditcat.variational, "minimize", counted_minimize)
+    target = dcat(basis_3_20, CatSpec([0.45, 0.75], (1, 1), 20))
+    for extra in ((), [(0.3, 0.2), (0.9, 0.1)]):
+        steps.append(0)
+        builds.clear()
+        maximize_overlap(target, (1, 1), extra_starts=extra)
+        assert builds == [1]
+    assert steps[1] > steps[0] > 1000
+
+
+# ----------------------------------------------------------- overlap objective
+
+
+def log_space_fidelity(psi, c):
+    """F(x) from the log-space cat amplitudes, the objective the grid replaced."""
+    idx, amplitudes = cat_amplitudes(psi.basis, c)
+    psi_c = psi.coeffs[idx]
+
+    def fidelity_at(x):
+        a = amplitudes(np.abs(x))
+        return min(abs(np.vdot(a, psi_c)) ** 2 / np.vdot(a, a).real, 1.0)
+
+    return fidelity_at
+
+
+@pytest.mark.parametrize("N", [20, 100, 500])
+def test_overlap_objective_matches_log_space_amplitudes(rng, N):
+    # |x_i| log-uniform over [1e-3, 1e3] with random signs, plus exact zeros
+    # (the reduced-cat limit); a random complex state, whose F is small,
+    # and a real cat, whose F reaches 1 at its own coordinates
+    basis = shared_basis(3, N)
+    x = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (60, 2)))
+    x *= rng.choice([-1.0, 1.0], x.shape)
+    z_cat = [0.6, 0.35]
+    x = np.vstack(
+        [x, [[0.0, 0.0], [0.0, 0.45], [0.6, 0.0], [0.0, 1e3], [1e3, 0.0], [1.0, 1.0], z_cat]]
+    )
+    for c in all_parity_labels(3):
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        states = [SymmetricState(basis, v / np.linalg.norm(v)), dcat(basis, CatSpec(z_cat, c, N))]
+        for psi in states:
+            oracle = log_space_fidelity(psi, c)
+            want = np.array([oracle(p) for p in x])
+            with np.errstate(over="raise", invalid="raise"):
+                objective = overlap_objective(psi, c)
+                got = np.array([objective(p) for p in x])
+            assert np.max(np.abs(got - want)) < 1e-13, (N, c)
+        assert got[-1] > 1.0 - 1e-12
+
+
+def test_overlap_objective_raises_past_the_double_range():
+    # at N = 660 the smallest multinomial over the largest is below the
+    # smallest normal double, so the denominator could underflow to 0
+    basis = shared_basis(3, 660)
+    psi = SymmetricState(basis, np.eye(1, basis.size, 0)[0])
+    with pytest.raises(FloatingPointError, match="N = 660"):
+        overlap_objective(psi, (0, 0))
+
+
+@pytest.mark.parametrize("lam_index, x0", [(9, (1.2, 0.0)), (10, (0.9, 0.0))])
+def test_slow_overlap_starts_converge_to_the_search_best(lam_index, x0):
+    # criterion 8c's grid, state 5, sector (1, 1) at N = 20: from these two
+    # starts the simplex is still moving after 500 iterations and converges
+    # at about 670 and 780
+    lam = float(np.geomspace(0.01, 20.0, 20)[lam_index])
+    basis = shared_basis(3, 20)
+    spec = diagonalize(build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis), basis, k=8)
+    target = spec.eigenstates[sector_minima(spec)[(1, 1)]]
+    cp = critical_point(1.0, lam)
+    _, f_best = maximize_overlap(target, (1, 1), extra_starts=[(cp.z1, cp.z2)])
+    objective = overlap_objective(target, (1, 1))
+    res = minimize(
+        lambda x: -objective(x), x0=np.array(x0), method="Nelder-Mead", options=NELDER_MEAD
+    )
+    assert res.success and res.nit > 500
+    assert abs(-res.fun - f_best) < 1e-10
