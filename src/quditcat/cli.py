@@ -51,7 +51,6 @@ from .variational import (
     critical_point,
     fidelity,
     maximize_overlap,
-    sector_minima,
     variational_cat,
 )
 
@@ -289,14 +288,11 @@ def cmd_fidelity(cfg: ExperimentConfig) -> None:
     def rows_for(lam: float):
         lam = float(lam)
         params = LMGParams(3, N, 1.0, lam)
-        spec = diagonalize(build_hamiltonian(params, basis), basis, k=cfg.levels + 2)
-        minima = sector_minima(spec)
+        spec = diagonalize(build_hamiltonian(params, basis), basis, k=1)
         cp = critical_point(1.0, lam)
         out = []
         for state_idx, label in TRACKED_STATES.items():
-            if label not in minima:
-                continue
-            target = spec.eigenstates[minima[label]]
+            target = spec.ground_states[label]
             cat = variational_cat(lam, label, params, basis)
             f_crit = fidelity(cat, target)
             z_max, f_max = maximize_overlap(
@@ -361,15 +357,12 @@ def cmd_localization(cfg: ExperimentConfig) -> None:
         basis = shared_basis(3, N)
         params = LMGParams(3, N, 1.0, lam)
         centers = branch_centers(3, lam) if cfg.method == "importance_mc" else None
-        spec = diagonalize(build_hamiltonian(params, basis), basis, k=cfg.levels + 2)
-        minima = sector_minima(spec)
+        spec = diagonalize(build_hamiltonian(params, basis), basis, k=1)
         out = []
         for kind, state in (
             ("variational", variational_cat(lam, label, params, basis)),
-            ("numerical", spec.eigenstates[minima[label]] if label in minima else None),
+            ("numerical", spec.ground_states[label]),
         ):
-            if state is None:
-                continue
             m2 = moment_analytic(state, 2)
             sw, sw_err = wehrl_entropy(
                 state, cfg.integration(cfg.seed + 1_000_003 * idx), centers
@@ -410,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="explicit comma list of couplings (overrides min/max/steps)",
         )
         p.add_argument("--parity", help="comma list of parity bit strings")
-        p.add_argument("--levels", type=int, help="eigenstates kept per sweep point")
+        p.add_argument("--levels", type=int, help="levels written per coupling by spectrum")
         p.add_argument("--method", choices=["haar_mc", "importance_mc"])
         p.add_argument("--samples", type=int)
         p.add_argument("--batch", type=int)

@@ -201,17 +201,26 @@ def haar_sample(D: int, rng: np.random.Generator, size: int | None = None) -> np
     redrawing on the measure-zero event that c_0 nearly vanishes.
     """
     m = 1 if size is None else size
-    c = _complex_normal(rng, (m, D))
-    bad = np.abs(c[:, 0]) ** 2 < 1e-12 * np.sum(np.abs(c) ** 2, axis=1)
-    while np.any(bad):
-        c[bad] = _complex_normal(rng, (int(bad.sum()), D))
-        bad = np.abs(c[:, 0]) ** 2 < 1e-12 * np.sum(np.abs(c) ** 2, axis=1)
-    z = c[:, 1:] / c[:, 0:1]
+    z = _affine_points(lambda n: _complex_normal(rng, (n, D)), m)
     return z[0] if size is None else z
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _affine_points(draw, size: int) -> np.ndarray:
+    """z_{1:}/z_0 for `size` homogeneous points z, drawn by draw(n) n at a time.
+
+    Rows with |z_0|^2 < 1e-12 |z|^2, a measure-zero event, are redrawn
+    until none is left.
+    """
+    hom = draw(size)
+    while True:
+        bad = np.abs(hom[:, 0]) ** 2 < 1e-12 * np.sum(np.abs(hom) ** 2, axis=1)
+        if not np.any(bad):
+            return hom[:, 1:] / hom[:, 0:1]
+        hom[bad] = draw(int(bad.sum()))
 
 
 def _branch_unitary(w: np.ndarray) -> np.ndarray:
@@ -240,25 +249,19 @@ def sample_dscs_husimi(
     """
     w = np.asarray(w, dtype=complex)
     D = w.shape[0] + 1
-    s = rng.gamma(N + 1.0, 1.0, size)
-    v = _complex_normal(rng, (size, D - 1))
-    z0 = v / np.sqrt(s)[:, None]
-    if not np.any(w):
-        return z0
-    U = _branch_unitary(w)
-    hom = np.concatenate([np.ones((size, 1), dtype=complex), z0], axis=1)
-    zeta = hom @ U.T
-    bad = np.abs(zeta[:, 0]) ** 2 < 1e-12 * np.sum(np.abs(zeta) ** 2, axis=1)
-    while np.any(bad):
-        n_bad = int(bad.sum())
-        s = rng.gamma(N + 1.0, 1.0, n_bad)
-        v = _complex_normal(rng, (n_bad, D - 1))
-        hom_bad = np.concatenate(
-            [np.ones((n_bad, 1), dtype=complex), v / np.sqrt(s)[:, None]], axis=1
+
+    def centred(n):
+        # homogeneous points (1, v/sqrt(s)) of the cloud at w = 0
+        s = rng.gamma(N + 1.0, 1.0, n)
+        v = _complex_normal(rng, (n, D - 1))
+        return np.concatenate(
+            [np.ones((n, 1), dtype=complex), v / np.sqrt(s)[:, None]], axis=1
         )
-        zeta[bad] = hom_bad @ U.T
-        bad = np.abs(zeta[:, 0]) ** 2 < 1e-12 * np.sum(np.abs(zeta) ** 2, axis=1)
-    return zeta[:, 1:] / zeta[:, 0:1]
+
+    if not np.any(w):
+        return centred(size)[:, 1:]
+    U = _branch_unitary(w)
+    return _affine_points(lambda n: centred(n) @ U.T, size)
 
 
 def _log_branch_husimi(zs: np.ndarray, centers: np.ndarray, N: int) -> np.ndarray:
@@ -434,7 +437,7 @@ def renyi_wehrl(
     if nu == 1:
         raise ValueError("nu = 1 is the Wehrl limit; use wehrl_entropy")
     if method == "analytic":
-        report = moment_analytic(state, int(nu))
+        report = moment_analytic(state, nu)
     elif method in ("haar_mc", "importance_mc"):
         if spec is None:
             raise ValueError("Monte-Carlo backend needs an IntegrationSpec")

@@ -8,9 +8,10 @@ with a one-body ladder of equally spaced levels and a two-body term that
 scatters particle pairs between levels.  Pair scattering conserves every
 level-population parity, so H is block diagonal over the Z2^(D-1) sectors.
 H is assembled as a sparse matrix and each sector block is solved on its
-own, so every eigenstate carries its sector label by construction.  Levels
-are merged in energy order; only levels that tie within the solver's
-accuracy are ordered by label, which keeps exactly degenerate clusters
+own, so every eigenstate carries its sector label by construction, and
+each sector's lowest state comes straight from its own solve.  Levels are
+merged in energy order; only levels that tie within the solver's accuracy
+are ordered by label, which keeps exactly degenerate clusters
 deterministic.
 
 Level indices are 0-based throughout: for D = 3 the one-body term reads
@@ -111,14 +112,17 @@ def build_hamiltonian(
 
 @dataclass
 class SpectrumResult:
-    """Eigenpairs in ascending order with their parity classification."""
+    """Lowest eigenpairs in ascending order with their parity labels.
+
+    `ground_states` maps the label of every non-empty sector to that
+    sector's lowest eigenstate, whatever the number of merged levels.
+    """
 
     basis: FockBasis
     eigenvalues: np.ndarray
     eigenstates: list[SymmetricState]
     parities: list[tuple[int, ...]]
-    certainties: np.ndarray  # 1 throughout: labels come from the sector solve
-    mixed: np.ndarray  # False throughout: no eigenstate mixes sectors
+    ground_states: dict[tuple[int, ...], SymmetricState]
 
 
 def classify_parity(state: SymmetricState) -> tuple[tuple[int, ...], float]:
@@ -145,7 +149,8 @@ def diagonalize(
     the full basis, so labels are exact.  Levels come back in ascending
     energy; levels within TIE_ULPS * eps * scale of each other are ordered
     by parity label instead, so repeated runs give identical labels even
-    for numerically degenerate states.
+    for numerically degenerate states.  Each sector's lowest eigenstate is
+    also kept in `ground_states`.
     """
     dim = H.shape[0]
     if H.shape != (dim, dim) or dim != basis.size:
@@ -157,8 +162,14 @@ def diagonalize(
     H = sparse.csr_array(H)
     scale = max(float(abs(H).sum(axis=1).max()), 1.0)
 
+    def embed(idx, vec) -> SymmetricState:
+        coeffs = np.zeros(dim)
+        coeffs[idx] = vec
+        return SymmetricState(basis, coeffs)
+
+    labels = all_parity_labels(basis.D)
     codes = basis.sector_codes
-    energies, sectors, columns = [], [], []
+    energies, sectors, columns, ground_states = [], [], [], {}
     for code in range(2 ** (basis.D - 1)):
         idx = np.nonzero(codes == code)[0]
         if idx.size == 0:
@@ -168,7 +179,8 @@ def diagonalize(
             block.toarray(), subset_by_index=(0, min(k, idx.size) - 1)
         )
         residual = np.linalg.norm(block @ vecs - vecs * vals[None, :], axis=0)
-        if np.any(residual > RESIDUAL_TOL * scale):
+        # written so that a NaN residual fails too
+        if not np.all(residual <= RESIDUAL_TOL * scale):
             raise DiagonalizationError(
                 f"eigenpair residual {residual.max():.3e} exceeds "
                 f"{RESIDUAL_TOL * scale:.3e}"
@@ -176,6 +188,7 @@ def diagonalize(
         energies.append(vals)
         sectors.append(np.full(vals.size, code))
         columns.extend((idx, vecs[:, i]) for i in range(vals.size))
+        ground_states[labels[code]] = embed(idx, vecs[:, 0])
     energies = np.concatenate(energies)
     sectors = np.concatenate(sectors)
 
@@ -187,19 +200,10 @@ def diagonalize(
     cluster[by_energy] = np.cumsum(np.r_[0, np.diff(energies[by_energy]) > tie])
     order = np.lexsort((energies, sectors, cluster))[:k]
 
-    labels = all_parity_labels(basis.D)
-    states = []
-    for i in order:
-        idx, vec = columns[i]
-        coeffs = np.zeros(dim)
-        coeffs[idx] = vec
-        states.append(SymmetricState(basis, coeffs))
     return SpectrumResult(
         basis=basis,
         eigenvalues=energies[order],
-        eigenstates=states,
+        eigenstates=[embed(*columns[i]) for i in order],
         parities=[labels[c] for c in sectors[order]],
-        certainties=np.ones(order.size),
-        mixed=np.zeros(order.size, dtype=bool),
+        ground_states=ground_states,
     )
-

@@ -175,14 +175,6 @@ def fidelity(a: SymmetricState, b: SymmetricState) -> float:
     return min(abs(a.inner(b)) ** 2, 1.0)
 
 
-def sector_minima(spectrum) -> dict[tuple[int, ...], int]:
-    """Index of the lowest eigenstate of each parity sector in a spectrum."""
-    first: dict[tuple[int, ...], int] = {}
-    for idx, label in enumerate(spectrum.parities):
-        first.setdefault(label, idx)
-    return first
-
-
 def overlap_objective(psi: SymmetricState, c):
     """The map x -> F(x) = |<x_c|psi>|^2 over real cat coordinates (D = 3).
 

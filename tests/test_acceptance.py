@@ -29,7 +29,7 @@ from quditcat.husimi import (
     moment_mc,
     wehrl_entropy,
 )
-from quditcat.lmg import LMGParams, build_hamiltonian, diagonalize
+from quditcat.lmg import LMGParams, build_hamiltonian, classify_parity, diagonalize
 from quditcat.parity import CatSpec, all_parity_labels, cat_norm_sq, dcat
 from quditcat.selftest import (
     check_characters,
@@ -137,7 +137,9 @@ def test_criterion_3_parity_sequence():
     details = []
     for lam in (0.1, 1.0, 2.5):
         spec = lowest_spectrum(20, lam, k=6)
-        certain = bool(np.all(spec.certainties >= 1.0 - 1e-8))
+        certain = all(
+            classify_parity(state)[1] >= 1.0 - 1e-8 for state in spec.eigenstates
+        )
         multiset = sorted(spec.parities) == sorted(EXPECTED_SEQUENCE)
         ordered = spec.parities == EXPECTED_SEQUENCE
         if lam == 0.1:
@@ -265,12 +267,12 @@ def critical_cat_fidelity(N: int, lam: float) -> tuple[float, float]:
     psi that lies wholly in sector (0,0).  That sector is asserted first.
     """
     spec = lowest_spectrum(N, lam, k=1)
-    label, certainty = spec.parities[0], float(spec.certainties[0])
+    psi = spec.eigenstates[0]
+    label, certainty = classify_parity(psi)
     assert label == (0, 0) and certainty >= 1.0 - 1e-8, (
         f"N={N}, lambda={lam}: ground state in sector {label} "
         f"with certainty {certainty:.3e}, not a pure (0,0) state"
     )
-    psi = spec.eigenstates[0]
     cp = critical_point(1.0, lam)
     z = [cp.z1, cp.z2]
     cat = variational_cat(lam, (0, 0), LMGParams(3, N, 1.0, lam), psi.basis)

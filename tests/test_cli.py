@@ -171,6 +171,34 @@ def test_fidelity_command(tmp_path):
     assert {r["state"] for r in rows} == {"0", "1", "3", "5"}
 
 
+def test_fidelity_writes_every_tracked_state_at_one_level(tmp_path):
+    # each sector's ground state comes from its own solve, so --levels,
+    # which sets the spectrum columns, cannot drop a tracked state
+    out = tmp_path / "fidelity.csv"
+    rc = run_cli(
+        ["fidelity", "--N", "12", "--lambda-values", "0.01,1.0,2.5", "--levels", "1"],
+        out,
+    )
+    assert rc == 0
+    _, rows = read_csv(out)
+    for lam in (0.01, 1.0, 2.5):
+        states = [r["state"] for r in rows if float(r["lambda"]) == lam]
+        assert states == ["0", "1", "3", "5"]
+
+
+def test_localization_writes_both_methods_at_one_level(tmp_path):
+    out = tmp_path / "loc.csv"
+    rc = run_cli(
+        ["localization", "--N", "12", "--parity", "11", "--levels", "1",
+         "--samples", "2000", "--batch", "500", "--seed", "1", "--lambda-values", "0.01"],
+        out,
+    )
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert [r["method"] for r in rows] == ["variational", "numerical"]
+    assert all(r["state"] == "11:N=12" for r in rows)
+
+
 def test_husimi_command(tmp_path):
     out = tmp_path / "husimi.csv"
     rc = run_cli(
@@ -272,22 +300,38 @@ def test_capacity_exit_code(tmp_path):
     assert rc == EXIT_CAPACITY
 
 
-def test_nan_eigenvector_is_numerical_failure(tmp_path, monkeypatch, capsys):
-    # a NaN eigenvector passes the residual check (NaN > tol is False) and
-    # fails the state norm check, a ValueError that is not a config error
+def assert_spoilt_eigh_is_numerical_failure(
+    tmp_path, monkeypatch, capsys, spoil, message
+):
     real_eigh = quditcat.lmg.scipy.linalg.eigh
 
-    def nan_eigh(*args, **kwargs):
+    def spoilt_eigh(*args, **kwargs):
         vals, vecs = real_eigh(*args, **kwargs)
-        vecs[:, 0] = np.nan
+        vecs[:, 0] *= spoil
         return vals, vecs
 
-    monkeypatch.setattr(quditcat.lmg.scipy.linalg, "eigh", nan_eigh)
+    monkeypatch.setattr(quditcat.lmg.scipy.linalg, "eigh", spoilt_eigh)
     for command in ("spectrum", "fidelity"):
         out = tmp_path / f"{command}.csv"
         assert run_cli([command, "--N", "8", "--lambda-values", "1.0"], out) == EXIT_NUMERICAL
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and message in err
         assert not out.exists()
+
+
+def test_nan_eigenvector_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # a NaN eigenvector fails the residual check, which NaN cannot pass
+    assert_spoilt_eigh_is_numerical_failure(
+        tmp_path, monkeypatch, capsys, np.nan, "eigenpair residual"
+    )
+
+
+def test_unnormalized_eigenvector_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    # an eigenvector scaled by 2 passes the residual check and fails the
+    # state norm check, a ValueError that is not a config error
+    assert_spoilt_eigh_is_numerical_failure(
+        tmp_path, monkeypatch, capsys, 2.0, "state norm"
+    )
 
 
 def test_config_file_with_flag_override(tmp_path):

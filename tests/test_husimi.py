@@ -213,6 +213,62 @@ def test_haar_mean_husimi_is_inverse_dimension():
     assert abs(q.mean() - 1.0 / basis.size) < 3 * se
 
 
+class ForcedDraws:
+    """A generator whose first draws are passed through given edits.
+
+    Each edit maps the array a call would return to the one it returns;
+    `calls` logs (method, size) of every call.
+    """
+
+    def __init__(self, seed, normal_edits=(), gamma_edits=()):
+        self.rng = np.random.default_rng(seed)
+        self.edits = {"standard_normal": list(normal_edits), "gamma": list(gamma_edits)}
+        self.calls = []
+
+    def _draw(self, name, *args):
+        out = getattr(self.rng, name)(*args)
+        self.calls.append((name, args[-1]))
+        return self.edits[name].pop(0)(out.copy()) if self.edits[name] else out
+
+    def standard_normal(self, shape):
+        return self._draw("standard_normal", shape)
+
+    def gamma(self, shape, scale, size):
+        return self._draw("gamma", shape, scale, size)
+
+
+def _set_rows(value, col=None):
+    """Edit setting the first three rows, or their column `col`, to value."""
+
+    def edit(a):
+        a[(slice(0, 3),) if col is None else (slice(0, 3), col)] = value
+        return a
+
+    return edit
+
+
+def test_haar_sample_redraws_points_at_infinity():
+    # three rows with c_0 = 0 are redrawn; the other rows are kept
+    forced = ForcedDraws(5, [_set_rows(0.0, 0)] * 2)
+    z = haar_sample(3, forced, 50)
+    assert forced.calls[2:] == [("standard_normal", (3, 3))] * 2
+    assert np.all(np.isfinite(z))
+    assert np.array_equal(z[3:], haar_sample(3, np.random.default_rng(5), 50)[3:])
+
+
+def test_recentred_sampler_redraws_points_at_infinity():
+    # the cloud point z = -1 (s = 1, v = -1) is sent to infinity by the
+    # map that recentres the cloud on w = 1
+    forced = ForcedDraws(
+        4, [_set_rows(-math.sqrt(2.0)), _set_rows(0.0)], [_set_rows(1.0)]
+    )
+    z = sample_dscs_husimi(np.array([1.0]), 10, forced, 40)
+    assert forced.calls[3:] == [
+        ("gamma", 3), ("standard_normal", (3, 1)), ("standard_normal", (3, 1))
+    ]
+    assert np.all(np.isfinite(z))
+
+
 def test_dscs_husimi_sampler_matches_density():
     # moments of |z|^2/(1+|z|^2) under the coherent Husimi cloud at w=0:
     # E[u] = (D-1)/(N+D) for u = |z|^2/(1+|z|^2) via the beta-like law
@@ -456,6 +512,17 @@ def test_cat_exceeds_dscs_renyi(basis_3_20):
     cat_entropy = renyi_wehrl(dcat(basis_3_20, CatSpec(z, (0, 0), 20)), 2)
     cs_entropy = renyi_wehrl(dscs(basis_3_20, z), 2)
     assert cat_entropy > cs_entropy
+
+
+def test_renyi_analytic_backend_rejects_non_integer_order(basis_3_10):
+    state = dscs(basis_3_10, [0.3, -0.2])
+    with pytest.raises(ValueError, match="integer"):
+        renyi_wehrl(state, 2.5)
+    # the Monte-Carlo backends take any order nu > 1
+    spec = IntegrationSpec("importance_mc", 20_000, 3, 5_000)
+    value = renyi_wehrl(state, 2.5, "importance_mc", spec, [[0.3, -0.2]])
+    exact = math.log(dscs_moment_exact(3, 10, 2.5)) / (1.0 - 2.5)
+    assert abs(value - exact) < 1e-2
 
 
 def test_renyi_rejects_nu_one(basis_3_10):

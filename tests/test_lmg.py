@@ -8,10 +8,12 @@ from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditcat.lmg
 from quditcat.cli import EXIT_CONFIG, main
 from quditcat.coherent import SymmetricState
 from quditcat.fock import shared_basis
 from quditcat.lmg import (
+    DiagonalizationError,
     LMGParams,
     build_hamiltonian,
     classify_parity,
@@ -127,8 +129,8 @@ def test_parity_multiset_through_the_phases():
         H = build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis)
         spec = diagonalize(H, basis, k=6)
         assert sorted(spec.parities) == expected
-        assert np.all(spec.certainties >= 1.0 - 1e-8)
-        assert not np.any(spec.mixed)
+        for label, state in zip(spec.parities, spec.eigenstates):
+            assert classify_parity(state) == (label, pytest.approx(1.0, abs=1e-8))
 
 
 def test_parity_sequence_in_phase_one():
@@ -144,7 +146,8 @@ def test_exactly_degenerate_free_levels_get_deterministic_labels():
     H = build_hamiltonian(LMGParams(3, 20, 1.0, 0.0), basis)
     spec = diagonalize(H, basis, k=6)
     assert spec.parities == EXPECTED_LOW_PARITIES
-    assert np.all(spec.certainties >= 1.0 - 1e-12)
+    for state in spec.eigenstates:
+        assert classify_parity(state)[1] >= 1.0 - 1e-12
 
 
 def _diagonal_spectrum(placed: dict) -> list:
@@ -184,12 +187,40 @@ def test_sector_solve_is_complete_and_labels_are_exact(lam):
     assert np.allclose(
         spec.eigenvalues, np.linalg.eigvalsh(H.toarray()), rtol=0.0, atol=1e-12
     )
-    assert np.all(spec.certainties == 1.0)
-    assert not np.any(spec.mixed)
     for label, state in zip(spec.parities, spec.eigenstates):
         measured, weight = classify_parity(state)
         assert measured == label
         assert abs(weight - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 2.5])
+def test_ground_states_are_each_sectors_lowest_level(lam):
+    basis = shared_basis(3, 20)
+    H = build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis)
+    full = diagonalize(H, basis)
+    for spec in (full, diagonalize(H, basis, k=1)):
+        assert sorted(spec.ground_states) == all_parity_labels(3)
+        for label, state in spec.ground_states.items():
+            first = full.parities.index(label)
+            energy = np.vdot(state.coeffs, H @ state.coeffs).real
+            assert abs(energy - full.eigenvalues[first]) < 1e-12
+            assert abs(abs(state.inner(full.eigenstates[first])) - 1.0) < 1e-10
+            assert classify_parity(state) == (label, pytest.approx(1.0, abs=1e-12))
+
+
+def test_nan_eigenpair_fails_the_residual_check(monkeypatch):
+    real_eigh = quditcat.lmg.scipy.linalg.eigh
+
+    def nan_eigh(*args, **kwargs):
+        vals, vecs = real_eigh(*args, **kwargs)
+        vecs[:, 0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(quditcat.lmg.scipy.linalg, "eigh", nan_eigh)
+    basis = shared_basis(3, 8)
+    H = build_hamiltonian(LMGParams(3, 8, 1.0, 1.0), basis)
+    with pytest.raises(DiagonalizationError, match="residual"):
+        diagonalize(H, basis, k=2)
 
 
 def test_doublet_gap_shrinks_with_coupling():

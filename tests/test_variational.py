@@ -20,7 +20,6 @@ from quditcat.variational import (
     gs_energy_limit,
     maximize_overlap,
     overlap_objective,
-    sector_minima,
     variational_cat,
 )
 
@@ -382,7 +381,7 @@ def test_slow_overlap_starts_converge_to_the_search_best(lam_index, x0):
     lam = float(np.geomspace(0.01, 20.0, 20)[lam_index])
     basis = shared_basis(3, 20)
     spec = diagonalize(build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis), basis, k=8)
-    target = spec.eigenstates[sector_minima(spec)[(1, 1)]]
+    target = spec.ground_states[(1, 1)]
     cp = critical_point(1.0, lam)
     _, f_best = maximize_overlap(target, (1, 1), extra_starts=[(cp.z1, cp.z2)])
     objective = overlap_objective(target, (1, 1))
