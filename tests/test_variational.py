@@ -380,7 +380,7 @@ def test_slow_overlap_starts_converge_to_the_search_best(lam_index, x0):
     # at about 670 and 780
     lam = float(np.geomspace(0.01, 20.0, 20)[lam_index])
     basis = shared_basis(3, 20)
-    spec = diagonalize(build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis), basis, k=8)
+    spec = diagonalize(build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis), basis, k=1)
     target = spec.ground_states[(1, 1)]
     cp = critical_point(1.0, lam)
     _, f_best = maximize_overlap(target, (1, 1), extra_starts=[(cp.z1, cp.z2)])
