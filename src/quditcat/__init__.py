@@ -21,12 +21,13 @@ from .husimi import (
     HusimiGridSpec,
     IntegrationSpec,
     MomentReport,
+    cat_moment_limit,
+    cat_wehrl_limit,
     count_humps,
     haar_sample,
     husimi_grid,
     husimi_value,
     husimi_values,
-    limit_reference,
     moment_analytic,
     moment_mc,
     renyi_wehrl,

@@ -11,8 +11,8 @@ Subcommands reproduce the standard sweep experiments as CSV tables:
 Settings come from an INI-style config file (flat key = value entries in
 sections) and every command-line flag overrides its config key.  Output
 CSVs are deterministic for a fixed (config, seed) pair and carry a
-metadata comment line with the package version, a digest of the effective
-configuration, and the seed.
+metadata comment line with the package version, a digest of the settings
+the command reads, and the seed.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 capacity
 exceeded (1 for selftest failures).
@@ -104,15 +104,34 @@ class ExperimentConfig:
             return np.geomspace(self.lam_min, self.lam_max, self.lam_steps)
         raise ConfigError(f"unknown lambda scale {self.lam_scale!r}")
 
+    @property
+    def labels(self) -> tuple[tuple[int, ...], ...]:
+        """The parity sectors read: all by default for husimi, 00 for localization."""
+        if self.parities:
+            return self.parities
+        if self.command == "husimi":
+            return tuple(all_parity_labels(self.D))
+        return ((0,) * (self.D - 1),)
+
     def integration(self, seed: int) -> IntegrationSpec:
         return IntegrationSpec(self.method, self.samples, seed, self.batch)
 
     def digest(self) -> str:
-        # only result-defining settings: the output sink and pool size
-        # cannot change what gets computed
-        skip = {"out", "workers"}
-        text = repr(sorted((k, v) for k, v in self.__dict__.items() if k not in skip))
+        """Hash of the settings the command reads, couplings as resolved."""
+        read = [(name, getattr(self, name)) for name in SETTINGS_READ[self.command]]
+        text = repr((self.command, read, self.lam_grid().tolist()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
+
+
+# the settings each command reads besides the couplings, which `digest`
+# hashes as the grid they resolve to; the output sink and the pool size
+# never change a result
+SETTINGS_READ = {
+    "spectrum": ("D", "N", "levels"),
+    "fidelity": ("D", "N"),
+    "husimi": ("D", "N", "labels", "grid_points", "grid_half_range", "grid_slice"),
+    "localization": ("D", "N", "labels", "method", "samples", "batch", "seed"),
+}
 
 
 def _parse_parity_list(text: str, D: int) -> tuple[tuple[int, ...], ...]:
@@ -203,6 +222,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("particle list is empty")
     if any(n < 2 for n in cfg.N):
         raise ConfigError("need at least two particles")
+    if len(cfg.N) > 1 and cfg.command != "localization":
+        raise ConfigError(f"--N takes one particle number for {cfg.command}")
     if cfg.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {cfg.workers}")
     if cfg.command in ("localization",) and cfg.seed is None:
@@ -314,7 +335,6 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
         raise ConfigError("Husimi maps are emitted for D = 3")
     N = cfg.N[0]
     basis = shared_basis(3, N)
-    labels = cfg.parities or tuple(all_parity_labels(3))
     grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, cfg.grid_slice)
     count_grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, "position")
 
@@ -334,7 +354,7 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
             np.full(n, humps),
         ]
 
-    tasks = [(lam, label) for lam in cfg.lam_grid() for label in labels]
+    tasks = [(lam, label) for lam in cfg.lam_grid() for label in cfg.labels]
     blocks = _pool_map(columns_for, tasks, cfg.workers)
     header = ["lambda", "parity", "x1", "x2", "Q", "humps"]
     _write_csv(cfg, header, [np.concatenate(parts) for parts in zip(*blocks)])
@@ -343,11 +363,10 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
 def cmd_localization(cfg: ExperimentConfig) -> None:
     if cfg.D != 3:
         raise ConfigError("localization sweeps use the D = 3 variational forms")
-    labels = cfg.parities or ((0, 0),)
     tasks = [
         (i, lam, N, label)
         for i, (lam, N, label) in enumerate(
-            itertools.product(cfg.lam_grid(), cfg.N, labels)
+            itertools.product(cfg.lam_grid(), cfg.N, cfg.labels)
         )
     ]
 
@@ -391,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output CSV path ('-' for stdout)")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
         p.add_argument("--workers", type=int, help="sweep worker threads (default 1)")
-        p.add_argument("--N", help="particle number (comma list where supported)")
+        p.add_argument("--N", help="particle number (a comma list for localization)")
         p.add_argument("--D", type=int, help="number of levels")
         p.add_argument("--lambda-min", dest="lambda_min", type=float)
         p.add_argument("--lambda-max", dest="lambda_max", type=float)

@@ -9,13 +9,17 @@ coefficients are
 
     c_n(z) = sqrt(N!/prod n_i!) * prod_i z_i^{n_i} / (1+z'z)^{N/2},
 
-which this module always evaluates as log-modulus plus accumulated phase,
-so powers like (1+z'z)^N never overflow for particle numbers in the
-hundreds.
+which this module evaluates as log-modulus plus accumulated phase, because
+the multinomials and the powers z^n alone overflow for particle numbers in
+the hundreds.
 
 Also provided: the collective quDit operators S_ij = a_i+ a_j as sparse
-matrices over a FockBasis, and the closed-form coherent-state matrix
-elements of S_ij and S_ij S_kl used by the variational energy surfaces.
+matrices over a FockBasis, and the closed-form coherent-state overlap and
+matrix elements of S_ij and S_ij S_kl used by the variational energy
+surfaces.  Each of those is a monomial in the unit vectors
+u = (1, z)/|(1, z)| times a power of the unit overlap rho = u1'u2.  Since
+|rho| <= 1 they cannot overflow and are evaluated directly; an exact zero
+needs no special case, as 0^0 = 1 and 0^k = 0.
 """
 
 from __future__ import annotations
@@ -130,29 +134,31 @@ def dscs(basis: FockBasis, z) -> SymmetricState:
     return SymmetricState(basis, dscs_coefficients(basis, z))
 
 
-def log_overlap(z1, z2, N: int) -> complex:
-    """log <z1|z2>, i.e. N log(1+z1'z2) - (N/2)[log(1+|z1|^2)+log(1+|z2|^2)].
+def _unit_pair(z1, z2) -> tuple[np.ndarray, np.ndarray, complex]:
+    """Unit vectors u = (1, z)/|(1, z)| of two phase points and rho = u1'u2.
 
-    The real part may be -inf when the overlap is exactly zero.
+    rho is formed as (1 + z1'z2)/sqrt((1+|z1|^2)(1+|z2|^2)) rather than as
+    u1'u2, so it is exactly 0 wherever 1 + z1'z2 is.
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     if z1.shape != z2.shape:
         raise ValueError("phase points have mismatched dimensions")
-    cross = 1.0 + np.vdot(z1, z2)
-    with np.errstate(divide="ignore"):
-        log_cross = np.log(cross) if cross != 0.0 else complex(-np.inf, 0.0)
-    return N * log_cross - 0.5 * N * (
-        np.log1p(np.vdot(z1, z1).real) + np.log1p(np.vdot(z2, z2).real)
-    )
+    n1 = np.sqrt(1.0 + np.vdot(z1, z1).real)
+    n2 = np.sqrt(1.0 + np.vdot(z2, z2).real)
+    u1 = np.concatenate([[1.0], z1]) / n1
+    u2 = np.concatenate([[1.0], z2]) / n2
+    return u1, u2, complex((1.0 + np.vdot(z1, z2)) / (n1 * n2))
 
 
 def overlap(z1, z2, N: int) -> complex:
-    """Coherent-state overlap <z1|z2> = (1+z1'z2)^N / normalizers."""
-    lo = log_overlap(z1, z2, N)
-    if lo.real == -np.inf:
-        return 0.0 + 0.0j
-    return complex(np.exp(lo))
+    """Coherent-state overlap <z1|z2> = rho^N."""
+    return _unit_pair(z1, z2)[2] ** N
+
+
+def _check_levels(D: int, *levels: int) -> None:
+    if not all(0 <= lvl < D for lvl in levels):
+        raise ValueError(f"levels must lie in 0..{D - 1}, got {levels}")
 
 
 def spin_matrix(basis: FockBasis, i: int, j: int) -> sparse.csc_array:
@@ -162,9 +168,7 @@ def spin_matrix(basis: FockBasis, i: int, j: int) -> sparse.csc_array:
     occupation vectors that differ by a single j -> i hop; each column
     holds at most one non-zero entry.
     """
-    D = basis.D
-    if not (0 <= i < D and 0 <= j < D):
-        raise ValueError(f"levels must lie in 0..{D - 1}, got ({i}, {j})")
+    _check_levels(basis.D, i, j)
     if i == j:
         return sparse.csc_array(
             sparse.diags_array(basis.states[:, i].astype(float))
@@ -180,33 +184,11 @@ def spin_matrix(basis: FockBasis, i: int, j: int) -> sparse.csc_array:
     )
 
 
-def _extended(z) -> np.ndarray:
-    """Prepend the fixed homogeneous coordinate z_0 = 1."""
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([[1.0 + 0.0j], z])
-
-
 def cs_expectation(z1, z2, i: int, j: int, N: int) -> complex:
-    """<z1|S_ij|z2> in closed form.
-
-    Equals N conj(z1)_i (z2)_j (1+z1'z2)^{N-1} / normalizers with the
-    z_0 = 1 patch convention applied to both arguments.
-    """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    D = z1.shape[0] + 1
-    if not (0 <= i < D and 0 <= j < D):
-        raise ValueError(f"levels must lie in 0..{D - 1}, got ({i}, {j})")
-    a = np.conj(_extended(z1)[i]) * _extended(z2)[j]
-    if a == 0.0:
-        return 0.0 + 0.0j
-    cross = 1.0 + np.vdot(z1, z2)
-    if cross == 0.0 and N > 1:
-        return 0.0 + 0.0j
-    log_part = (N - 1) * (np.log(cross) if cross != 0.0 else 0.0) - 0.5 * N * (
-        np.log1p(np.vdot(z1, z1).real) + np.log1p(np.vdot(z2, z2).real)
-    )
-    return complex(N * a * np.exp(log_part))
+    """<z1|S_ij|z2> = N conj(u1_i) u2_j rho^(N-1) in closed form."""
+    u1, u2, rho = _unit_pair(z1, z2)
+    _check_levels(len(u1), i, j)
+    return complex(N * np.conj(u1[i]) * u2[j] * rho ** max(N - 1, 0))
 
 
 def cs_quadratic_expectation(
@@ -214,28 +196,10 @@ def cs_quadratic_expectation(
 ) -> complex:
     """<z1|S_ij S_kl|z2> in closed form.
 
-    Mathematically delta_jk <S_il> + (N-1)/N <S_ij><S_kl>/<z1|z2>; the
-    quotient is combined analytically into a single exponent
-    (1+z1'z2)^{N-2}, so no intermediate overlap can underflow.
+    delta_jk <S_il> + N(N-1) conj(u1_i u1_k) u2_j u2_l rho^(N-2).
     """
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    D = z1.shape[0] + 1
-    for lvl in (i, j, k, l):
-        if not (0 <= lvl < D):
-            raise ValueError(f"levels must lie in 0..{D - 1}")
-    first = 0.0 + 0.0j
-    if j == k:
-        first = cs_expectation(z1, z2, i, l, N)
-    e1 = _extended(z1)
-    e2 = _extended(z2)
-    a = np.conj(e1[i]) * e2[j] * np.conj(e1[k]) * e2[l]
-    if a == 0.0 or N < 2:
-        return complex(first)
-    cross = 1.0 + np.vdot(z1, z2)
-    if cross == 0.0 and N > 2:
-        return complex(first)
-    log_part = (N - 2) * (np.log(cross) if cross != 0.0 else 0.0) - 0.5 * N * (
-        np.log1p(np.vdot(z1, z1).real) + np.log1p(np.vdot(z2, z2).real)
-    )
-    return complex(first + N * (N - 1) * a * np.exp(log_part))
+    u1, u2, rho = _unit_pair(z1, z2)
+    _check_levels(len(u1), i, j, k, l)
+    first = cs_expectation(z1, z2, i, l, N) if j == k else 0.0
+    pair = np.conj(u1[i] * u1[k]) * u2[j] * u2[l]
+    return complex(first + N * (N - 1) * pair * rho ** max(N - 2, 0))

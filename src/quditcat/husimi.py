@@ -429,76 +429,34 @@ def wehrl_entropy(
 def renyi_wehrl(
     state: SymmetricState,
     nu: float,
-    method: str = "analytic",
     spec: IntegrationSpec | None = None,
     centers=None,
 ) -> float:
-    """Renyi-Wehrl entropy ln(M_nu)/(1-nu) using the chosen moment backend."""
+    """Renyi-Wehrl entropy ln(M_nu)/(1-nu).
+
+    The moment is analytic when spec is None and otherwise integrated by
+    Monte-Carlo with spec.method.
+    """
     if nu == 1:
         raise ValueError("nu = 1 is the Wehrl limit; use wehrl_entropy")
-    if method == "analytic":
+    if spec is None:
         report = moment_analytic(state, nu)
-    elif method in ("haar_mc", "importance_mc"):
-        if spec is None:
-            raise ValueError("Monte-Carlo backend needs an IntegrationSpec")
-        if spec.method != method:
-            spec = IntegrationSpec(method, spec.samples, spec.seed, spec.batch)
-        report = moment_mc(state, nu, spec, centers)
     else:
-        raise ValueError(f"unknown moment backend {method!r}")
+        report = moment_mc(state, nu, spec, centers)
     return math.log(report.value) / (1.0 - nu)
 
 
-def limit_reference(
-    kind: str,
-    D: int,
-    nu: float | None = None,
-    k: int | None = None,
-    c_l_weight: int | None = None,
-    n_particles: int | None = None,
-) -> float:
-    """Closed-form reference values for moments and Wehrl entropies.
+def cat_moment_limit(D: int, nu: float, m: int) -> float:
+    """Large-N moment (2^m)^(1-nu)/nu^(D-1) of a state of 2^m separated branches.
 
-    Kinds:
-        dscs_moment              exact finite-N DSCS moment (needs n_particles, nu)
-        dscs_moment_limit        1/nu^(D-1)
-        cat_moment_limit         (2^(D-1))^(1-nu) / nu^(D-1)
-        cat_moment_limit_reduced (2^(k+w))^(1-nu) / nu^(D-1), w = c_l_weight
-        dscs_wehrl               exact finite-N DSCS Wehrl entropy if
-                                 n_particles is given, else the limit D-1
-        wehrl_limit_cat          (D-1)(1 + ln 2)
-        wehrl_limit_reduced      (D-1) + (k+w) ln 2
+    m = 0 for a DSCS, D-1 for a full cat and k+w for a reduced cat.
     """
-    ln2 = math.log(2.0)
-    if kind == "dscs_moment":
-        if n_particles is None or nu is None:
-            raise ValueError("dscs_moment needs n_particles and nu")
-        return dscs_moment_exact(D, n_particles, nu)
-    if kind == "dscs_moment_limit":
-        _need(nu=nu)
-        return float(nu) ** (1 - D)
-    if kind == "cat_moment_limit":
-        _need(nu=nu)
-        return (2.0 ** (D - 1)) ** (1 - nu) / float(nu) ** (D - 1)
-    if kind == "cat_moment_limit_reduced":
-        _need(nu=nu, k=k, c_l_weight=c_l_weight)
-        return (2.0 ** (k + c_l_weight)) ** (1 - nu) / float(nu) ** (D - 1)
-    if kind == "dscs_wehrl":
-        if n_particles is not None:
-            return dscs_wehrl_exact(D, n_particles)
-        return float(D - 1)
-    if kind == "wehrl_limit_cat":
-        return (D - 1) * (1.0 + ln2)
-    if kind == "wehrl_limit_reduced":
-        _need(k=k, c_l_weight=c_l_weight)
-        return (D - 1) + (k + c_l_weight) * ln2
-    raise ValueError(f"unknown reference kind {kind!r}")
+    return (2.0**m) ** (1 - nu) / float(nu) ** (D - 1)
 
 
-def _need(**kwargs):
-    for name, value in kwargs.items():
-        if value is None:
-            raise ValueError(f"missing parameter {name!r} for this reference kind")
+def cat_wehrl_limit(D: int, m: int) -> float:
+    """Large-N Wehrl entropy (D-1) + m ln 2 of a state of 2^m separated branches."""
+    return (D - 1) + m * math.log(2.0)
 
 
 def dscs_moment_exact(D: int, N: int, nu: float) -> float:

@@ -2,6 +2,7 @@ import csv
 import io
 import warnings
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,9 +101,10 @@ def test_pool_output_matches_serial(tmp_path, args):
         (["localization", "--N", ",", "--lambda-values", "1.0", "--seed", "1"],
          "particle list"),
         (["spectrum", "--N", "8", "--lambda-values", ","], "at least one point"),
+        (["spectrum", "--N", "8,12", "--lambda-values", "1.0"], "--N"),
     ],
     ids=["levels-0", "levels-above-dim", "workers-0", "nan-coupling",
-         "empty-particle-list", "empty-coupling-list"],
+         "empty-particle-list", "empty-coupling-list", "particle-list-for-one-N"],
 )
 def test_bad_settings_are_config_errors(tmp_path, capsys, args, named):
     assert run_cli(args, tmp_path / "x.csv") == EXIT_CONFIG
@@ -152,6 +154,28 @@ def test_csv_writer_matches_per_value_format(tmp_path):
         ",".join(header),
     ] + [",".join(format_value(v) for v in row) for row in zip(*columns)]
     assert (tmp_path / "w.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_digest_hashes_only_the_settings_read():
+    base = ExperimentConfig("fidelity", N=(6,), lam_values=(1.0,), levels=1)
+    # fidelity ignores --levels, --workers and the Monte-Carlo settings
+    for ignored in (
+        dict(levels=6), dict(workers=4), dict(seed=3), dict(samples=5_000),
+    ):
+        assert replace(base, **ignored).digest() == base.digest()
+    # the couplings count as the grid they resolve to
+    grid = replace(base, lam_values=None, lam_min=1.0, lam_max=1.0, lam_steps=1)
+    assert grid.digest() == base.digest()
+    for read in (dict(N=(8,)), dict(lam_values=(1.5,))):
+        assert replace(base, **read).digest() != base.digest()
+    # spectrum reads --levels
+    spectrum = replace(base, command="spectrum")
+    assert replace(spectrum, levels=6).digest() != spectrum.digest()
+    # and the parity sectors count as the list they resolve to
+    husimi = replace(base, command="husimi")
+    every = ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert replace(husimi, parities=every).digest() == husimi.digest()
+    assert replace(husimi, parities=((0, 0),)).digest() != husimi.digest()
 
 
 def test_fidelity_command(tmp_path):

@@ -188,6 +188,42 @@ def test_fluctuations_vanish_with_n():
     assert ratios[2] < 2e-3
 
 
+# pairs of D = 3 phase points with moduli from 1e-3 to 1e3: near and far
+# pairs, exact zero coordinates, and an antipodal pair where rho = 0
+WIDE_PAIRS = [
+    ([1e-3, -2e-3j], [3e-3 + 1e-3j, 1e-3]),
+    ([0.4 + 0.3j, -0.8], [0.5j, 0.9 - 0.2j]),
+    ([0.4 + 0.3j, -0.8], [0.41 + 0.3j, -0.8]),
+    ([1e3, 2e2j], [1.0001e3, 2e2j]),
+    ([1e3, 2e2j], [-3e2 + 1e2j, 1e3]),
+    ([1e-3, 1e3j], [1e3, -1e-3]),
+    ([0.0, 0.7j], [1e-3, 0.0]),
+    ([3.0, 4.0j], [-0.12, -0.16j]),
+]
+
+
+@pytest.mark.parametrize("N", [20, 100, 300])
+def test_closed_forms_match_fock_sums_over_wide_range(N):
+    # errors scaled by the size of each element: 1, N and N^2
+    assert any(1.0 + np.vdot(z1, z2) == 0.0 for z1, z2 in WIDE_PAIRS)
+    basis = shared_basis(3, N)
+    ops = {(i, j): spin_matrix(basis, i, j) for i in range(3) for j in range(3)}
+    for z1, z2 in WIDE_PAIRS:
+        c1 = dscs_coefficients(basis, z1)
+        c2 = dscs_coefficients(basis, z2)
+        # S_ij^+ = S_ji, so <z1|S_ij S_kl|z2> = (S_ji c1)^+ (S_kl c2)
+        left = {(i, j): ops[j, i] @ c1 for i, j in ops}
+        right = {key: op @ c2 for key, op in ops.items()}
+        assert abs(overlap(z1, z2, N) - np.vdot(c1, c2)) <= 1e-11
+        for (i, j), s_c2 in right.items():
+            got = cs_expectation(z1, z2, i, j, N)
+            assert abs(got - np.vdot(c1, s_c2)) <= 1e-11 * N
+        for (i, j), (k, l) in itertools.product(ops, repeat=2):
+            got = cs_quadratic_expectation(z1, z2, i, j, k, l, N)
+            expected = np.vdot(left[i, j], right[k, l])
+            assert abs(got - expected) <= 1e-11 * N**2
+
+
 def test_batched_coefficients_match_single(rng):
     basis = shared_basis(3, 15)
     zs = np.stack([random_phase_point(rng, 3) for _ in range(4)])

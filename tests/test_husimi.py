@@ -12,6 +12,8 @@ from quditcat.fock import CapacityError, exact_multinomial, shared_basis
 from quditcat.husimi import (
     HusimiGridSpec,
     IntegrationSpec,
+    cat_moment_limit,
+    cat_wehrl_limit,
     count_humps,
     count_map_humps,
     dscs_moment_exact,
@@ -20,7 +22,6 @@ from quditcat.husimi import (
     husimi_grid,
     husimi_value,
     husimi_values,
-    limit_reference,
     moment_analytic,
     moment_mc,
     phase_space_expectation,
@@ -348,7 +349,7 @@ def test_moment_analytic_matches_closed_form_grid(rng):
 
 
 def test_cat_moments_approach_quarter_of_dscs():
-    target = limit_reference("cat_moment_limit", 3, nu=2)
+    target = cat_moment_limit(3, 2, 2)
     assert abs(target - 1 / 16) < 1e-15
     dists = []
     for N in (10, 20, 40):
@@ -471,7 +472,7 @@ def test_wehrl_importance_matches_haar(basis_3_20):
 
 
 def test_full_cat_wehrl_approaches_limit():
-    target = limit_reference("wehrl_limit_cat", 3)
+    target = cat_wehrl_limit(3, 2)
     assert abs(target - 2 * (1 + math.log(2))) < 1e-15
     dists = []
     for N in (12, 30):
@@ -520,7 +521,7 @@ def test_renyi_analytic_backend_rejects_non_integer_order(basis_3_10):
         renyi_wehrl(state, 2.5)
     # the Monte-Carlo backends take any order nu > 1
     spec = IntegrationSpec("importance_mc", 20_000, 3, 5_000)
-    value = renyi_wehrl(state, 2.5, "importance_mc", spec, [[0.3, -0.2]])
+    value = renyi_wehrl(state, 2.5, spec, [[0.3, -0.2]])
     exact = math.log(dscs_moment_exact(3, 10, 2.5)) / (1.0 - 2.5)
     assert abs(value - exact) < 1e-2
 
@@ -534,25 +535,15 @@ def test_renyi_rejects_nu_one(basis_3_10):
 
 
 def test_limit_reference_values():
-    assert limit_reference("dscs_moment_limit", 2, nu=2) == 0.5
-    assert limit_reference("cat_moment_limit", 3, nu=2) == 1 / 16
-    assert abs(
-        limit_reference("wehrl_limit_reduced", 3, k=1, c_l_weight=0)
-        - (2 + math.log(2))
-    ) < 1e-15
-    assert limit_reference("dscs_wehrl", 3) == 2.0
-    assert abs(limit_reference("dscs_wehrl", 3, n_particles=10) - (10 / 11 + 10 / 12)) < 1e-14
-    assert abs(
-        limit_reference("cat_moment_limit_reduced", 3, nu=2, k=1, c_l_weight=1)
-        - 1 / 16
-    ) < 1e-15
-    assert abs(
-        limit_reference("dscs_moment", 3, nu=2, n_particles=1) - 0.5
-    ) < 1e-15
-    with pytest.raises(ValueError):
-        limit_reference("unknown_kind", 3)
-    with pytest.raises(ValueError):
-        limit_reference("cat_moment_limit", 3)  # nu missing
+    assert cat_moment_limit(2, 2, 0) == 0.5
+    assert cat_moment_limit(3, 2, 2) == 1 / 16
+    # a reduced cat has m = k + w: here k = 1, w = 0
+    assert abs(cat_wehrl_limit(3, 1) - (2 + math.log(2))) < 1e-15
+    assert cat_wehrl_limit(3, 0) == 2.0
+    assert abs(dscs_wehrl_exact(3, 10) - (10 / 11 + 10 / 12)) < 1e-14
+    # k = 1, w = 1
+    assert abs(cat_moment_limit(3, 2, 2) - 1 / 16) < 1e-15
+    assert abs(dscs_moment_exact(3, 1, 2) - 0.5) < 1e-15
 
 
 # -------------------------------------------------------------- grid + humps

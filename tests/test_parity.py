@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditcat.coherent import SymmetricState, dscs
+from quditcat.coherent import SymmetricState, dscs, dscs_coefficients
 from quditcat.fock import shared_basis
 from quditcat.parity import (
     CatSpec,
@@ -148,6 +148,22 @@ def test_cat_norm_matches_four_term_formula():
             + (-1) ** (c[0] + c[1]) * (1 - u - v) ** N
         ) / (4 * base**N)
         assert abs(cat_norm_sq(CatSpec([z1, z2], c, N)) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("N", [20, 100, 300])
+def test_cat_norm_sq_matches_fock_sums_over_wide_range(N):
+    # moduli from 1e-3 to 1e3 and exact zero coordinates; at |z| = 1 the
+    # branch b = (1, 1) has rho_b = 0, at z = (1, 0) the branch b = (1, 0)
+    basis = shared_basis(3, N)
+    points = [
+        [1e-3, 2e-3j], [0.5 + 0.5j, -0.7], [1e3, 2e2j], [1e-3, 1e3j],
+        [0.0, 0.7j], [0.0, 0.0], [0.6, 0.8j], [1.0, 0.0],
+    ]
+    for z in points:
+        weights = np.abs(dscs_coefficients(basis, z)) ** 2
+        for c in all_parity_labels(3):
+            expected = weights[sector_mask(basis, c)].sum()
+            assert abs(cat_norm_sq(CatSpec(z, c, N)) - expected) <= 1e-11
 
 
 def test_cat_norm_matches_projection_norm(rng, basis_3_20):
