@@ -44,7 +44,6 @@ from .parity import (
     CatSpec,
     all_parity_labels,
     apply_parity_flip,
-    cat_amplitudes,
     cat_norm,
     character,
     dcat,

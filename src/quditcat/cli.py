@@ -134,90 +134,101 @@ SETTINGS_READ = {
 }
 
 
-def _parse_parity_list(text: str, D: int) -> tuple[tuple[int, ...], ...]:
+def _particle_list(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+def _coupling_list(text: str) -> tuple[float, ...] | None:
+    # an empty string leaves the couplings unset; "," is an empty list
+    if not text:
+        return None
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def _parity_list(text: str) -> tuple[tuple[int, ...], ...] | None:
+    if not text:
+        return None
     out = []
     for token in text.replace(";", ",").split(","):
         token = token.strip()
         if not token:
             continue
-        if len(token) != D - 1 or any(ch not in "01" for ch in token):
-            raise ConfigError(f"parity {token!r} is not a {D - 1}-bit string")
+        if any(ch not in "01" for ch in token):
+            raise ConfigError(f"parity {token!r} is not a bit string")
         out.append(tuple(int(ch) for ch in token))
     if not out:
         raise ConfigError("empty parity list")
     return tuple(out)
 
 
-def _load_config_file(path: str) -> dict:
+# config key -> (ExperimentConfig field, parser of the key's text); each key
+# is also the dest of the command-line flag that overrides it
+SETTINGS = {
+    "d": ("D", int),
+    "n": ("N", _particle_list),
+    "lambda_min": ("lam_min", float),
+    "lambda_max": ("lam_max", float),
+    "lambda_steps": ("lam_steps", int),
+    "lambda_scale": ("lam_scale", str),
+    "lambda_values": ("lam_values", _coupling_list),
+    "parity": ("parities", _parity_list),
+    "method": ("method", str),
+    "samples": ("samples", int),
+    "batch": ("batch", int),
+    "seed": ("seed", int),
+    "workers": ("workers", int),
+    "levels": ("levels", int),
+    "grid_points": ("grid_points", int),
+    "grid_half_range": ("grid_half_range", float),
+    "grid_slice": ("grid_slice", str),
+    "out": ("out", str),
+}
+
+
+def _load_config_file(path: str) -> dict[str, str]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+        # the [DEFAULT] section too, which sections() leaves out
+        items = [item for section in parser.values() for item in section.items()]
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
     flat: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[key.replace("-", "_")] = value
+    for key, value in items:
+        name = key.replace("-", "_")
+        if name not in SETTINGS:
+            raise ConfigError(f"unknown key {key!r} in config file {path!r}")
+        flat[name] = value
     return flat
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw: dict[str, str] = {}
-    if args.config:
-        raw = _load_config_file(args.config)
+    """The config from the file's keys and the flags, which override them.
 
-    def pick(key: str, flag_value, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in raw:
+    Only the settings given are passed; `ExperimentConfig` supplies the rest.
+    """
+    given = _load_config_file(args.config) if args.config else {}
+    flags = vars(args)
+    given.update((key, flags[key]) for key in SETTINGS if flags[key] is not None)
+    fields = {}
+    for key, value in given.items():
+        field, parse = SETTINGS[key]
+        # file values and untyped flags are text; argparse parsed the typed flags
+        if isinstance(value, str):
             try:
-                return cast(raw[key])
+                value = parse(value)
             except ValueError as exc:
-                raise ConfigError(f"bad config value for {key}: {raw[key]!r}") from exc
-        return default
-
-    D = pick("d", args.D, int, 3)
-    n_raw = pick("n", args.N, str, None)
-    if n_raw is None:
-        n_list = (20,)
-    else:
-        try:
-            n_list = tuple(int(tok) for tok in str(n_raw).split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad particle numbers {n_raw!r}") from exc
-    lam_values_raw = pick("lambda_values", args.lambda_values, str, None)
-    lam_values = None
-    if lam_values_raw:
-        try:
-            lam_values = tuple(
-                float(t) for t in str(lam_values_raw).split(",") if t.strip()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad lambda values {lam_values_raw!r}") from exc
-    parity_raw = pick("parity", args.parity, str, None)
-    parities = _parse_parity_list(parity_raw, D) if parity_raw else None
-    cfg = ExperimentConfig(
-        command=args.command,
-        D=D,
-        N=n_list,
-        lam_min=pick("lambda_min", args.lambda_min, float, 0.01),
-        lam_max=pick("lambda_max", args.lambda_max, float, 3.0),
-        lam_steps=pick("lambda_steps", args.lambda_steps, int, 16),
-        lam_scale=pick("lambda_scale", args.lambda_scale, str, "linear"),
-        lam_values=lam_values,
-        parities=parities,
-        method=pick("method", args.method, str, "haar_mc"),
-        samples=pick("samples", args.samples, int, 1_000_000),
-        batch=pick("batch", args.batch, int, 200_000),
-        seed=pick("seed", args.seed, int, None),
-        workers=pick("workers", args.workers, int, 1),
-        levels=pick("levels", args.levels, int, 6),
-        grid_points=pick("grid_points", args.grid_points, int, 128),
-        grid_half_range=pick("grid_half_range", args.grid_half_range, float, 1.5),
-        grid_slice=pick("grid_slice", args.grid_slice, str, "position"),
-        out=pick("out", args.out, str, "-"),
-    )
+                raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        fields[field] = value
+    cfg = ExperimentConfig(command=args.command, **fields)
     if cfg.D < 2:
         raise ConfigError("need at least two levels")
+    for label in cfg.parities or ():
+        if len(label) != cfg.D - 1:
+            raise ConfigError(
+                f"parity {_bits(label)!r} is not a {cfg.D - 1}-bit string"
+            )
     if not cfg.N:
         raise ConfigError("particle list is empty")
     if any(n < 2 for n in cfg.N):
@@ -410,8 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output CSV path ('-' for stdout)")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
         p.add_argument("--workers", type=int, help="sweep worker threads (default 1)")
-        p.add_argument("--N", help="particle number (a comma list for localization)")
-        p.add_argument("--D", type=int, help="number of levels")
+        p.add_argument(
+            "--N", dest="n", help="particle number (a comma list for localization)"
+        )
+        p.add_argument("--D", dest="d", type=int, help="number of levels")
         p.add_argument("--lambda-min", dest="lambda_min", type=float)
         p.add_argument("--lambda-max", dest="lambda_max", type=float)
         p.add_argument("--lambda-steps", dest="lambda_steps", type=int)

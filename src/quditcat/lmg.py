@@ -41,33 +41,22 @@ class DiagonalizationError(Exception):
 
 @dataclass(frozen=True)
 class LMGParams:
-    """Model parameters; density mode unless lambda1/lambda2 are given.
+    """Model parameters of the density-normalized Hamiltonian.
 
-    In density mode the one-body gap eps is divided by N and the two-body
-    coupling lam by the pair count N(N-1), so eigenvalues are energy
-    densities in eps units.  Supplying lambda1/lambda2 switches to the
-    unnormalized general Hamiltonian
-    eps (S_{D-1,D-1} - S_00) + sum_{i != j} (lambda1 S_ij^2 + lambda2 S_ij S_ji).
+    The one-body gap eps is divided by N and the two-body coupling lam by
+    the pair count N(N-1), so eigenvalues are energy densities in eps units.
     """
 
     D: int
     N: int
     epsilon: float = 1.0
     lam: float = 0.0
-    lambda1: float | None = None
-    lambda2: float | None = None
 
     def __post_init__(self):
         if self.D < 2:
             raise ValueError("need at least two levels")
-        if self.N < 1:
-            raise ValueError("need at least one particle")
-        if not self.general and self.N < 2:
-            raise ValueError("density mode normalizes by N(N-1); need N >= 2")
-
-    @property
-    def general(self) -> bool:
-        return self.lambda1 is not None or self.lambda2 is not None
+        if self.N < 2:
+            raise ValueError("the Hamiltonian normalizes by N(N-1); need N >= 2")
 
 
 def build_hamiltonian(
@@ -84,8 +73,6 @@ def build_hamiltonian(
         float
     )
     pair_hop = None
-    exchange = None
-    need_exchange = params.general and params.lambda2 not in (None, 0.0)
     for i in range(D):
         for j in range(D):
             if i == j:
@@ -93,20 +80,8 @@ def build_hamiltonian(
             s_ij = spin_matrix(basis, i, j)
             term = s_ij @ s_ij
             pair_hop = term if pair_hop is None else pair_hop + term
-            if need_exchange:
-                term2 = s_ij @ spin_matrix(basis, j, i)
-                exchange = term2 if exchange is None else exchange + term2
 
-    if params.general:
-        lam1 = params.lambda1 or 0.0
-        lam2 = params.lambda2 or 0.0
-        H = params.epsilon * one_body + lam1 * pair_hop
-        if need_exchange:
-            H = H + lam2 * exchange
-    else:
-        H = (params.epsilon / N) * one_body - (
-            params.lam / (N * (N - 1))
-        ) * pair_hop
+    H = (params.epsilon / N) * one_body - (params.lam / (N * (N - 1))) * pair_hop
     return sparse.csr_array((H + H.T) / 2.0)
 
 

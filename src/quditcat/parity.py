@@ -15,9 +15,8 @@ common factor z^c, because n_i - c_i is even.  Dividing it out leaves
 amplitudes sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z) that stay finite when
 a coordinate vanishes; at z_i = 0 only n_i = c_i survives, which is the
 reduced-cat limit: a cat of the non-zero coordinates with one particle
-created in each level i where z_i = 0 and c_i = 1.  `cat_amplitudes`
-resolves a sector once and returns this one formula as a map of z, so
-every (z, c) pair maps to a well-defined unit-norm state.
+created in each level i where z_i = 0 and c_i = 1.  `dcat` evaluates this
+one formula, so every (z, c) pair maps to a well-defined unit-norm state.
 """
 
 from __future__ import annotations
@@ -70,19 +69,17 @@ def sector_mask(basis: FockBasis, c) -> np.ndarray:
     return basis.sector_codes == all_parity_labels(basis.D).index(label)
 
 
-def project_parity(
-    state: SymmetricState, c, zero_tolerance: float = PROJECTION_TOL
-) -> tuple[SymmetricState | None, float]:
+def project_parity(state: SymmetricState, c) -> tuple[SymmetricState | None, float]:
     """Apply the sector projector Pi_c and renormalize.
 
     Returns (projected state, norm of the raw projection).  When the
-    projection norm falls below `zero_tolerance` the state slot is None
+    projection norm falls below PROJECTION_TOL the state slot is None
     rather than an ill-defined division result.
     """
     mask = sector_mask(state.basis, c)
     projected = np.where(mask, state.coeffs, 0.0)
     norm = float(np.linalg.norm(projected))
-    if norm < zero_tolerance:
+    if norm < PROJECTION_TOL:
         return None, norm
     return SymmetricState(state.basis, projected / norm), norm
 
@@ -102,7 +99,7 @@ class CatSpec:
     """Defining data of a parity-adapted coherent state |z>_c of N particles.
 
     Any finite z is valid, including coordinates that are exactly zero,
-    where the cat is the reduced-cat limit (see `cat_amplitudes`).
+    where the cat is the reduced-cat limit (see `dcat`).
     """
 
     z: tuple
@@ -157,45 +154,33 @@ def sector_indices(basis: FockBasis, c) -> np.ndarray:
     return np.nonzero(sector_mask(basis, c))[0]
 
 
-def cat_amplitudes(basis: FockBasis, c):
-    """Indices of sector c and the map z -> the cat's amplitudes on them.
-
-    c is checked and its sector resolved here, once.  amplitudes(z) does not
-    check z; it returns sqrt(N!/prod n_i!) |z|^(n-c) e^(i n.arg z), the
-    coherent amplitudes with the common factor z^c divided out, in log space
-    and scaled so that the largest modulus is 1.  A coordinate that is
-    exactly zero keeps only the states with n_i = c_i (0^0 = 1); the state
-    n = (N - |c|, c) always survives.
-    """
-    idx = sector_indices(basis, c)
-    n = basis.states[idx, 1:]
-    # on the sector c_i = n_i mod 2
-    excess = n - n % 2
-    log_weight = 0.5 * basis.log_multinomials[idx]
-
-    def amplitudes(z: np.ndarray) -> np.ndarray:
-        mag = np.abs(z)
-        log_amp = log_weight + excess @ np.log(np.where(mag > 0.0, mag, 1.0))
-        log_amp[np.any(excess[:, mag == 0.0] > 0, axis=1)] = -np.inf
-        return np.exp(log_amp - log_amp.max() + 1j * (n @ np.angle(z)))
-
-    return idx, amplitudes
-
-
 def dcat(basis: FockBasis, spec: CatSpec) -> SymmetricState:
     """Parity-adapted coherent state |z>_c, always unit norm.
 
-    The normalized sector amplitudes of `cat_amplitudes` embedded in the
-    full (D, N) basis: the renormalized projection of |z> onto sector c,
-    and its reduced-cat limit where coordinates vanish.
+    The renormalized projection of |z> onto sector c, embedded in the full
+    (D, N) basis.  Its sector amplitudes are sqrt(N!/prod n_i!) |z|^(n-c)
+    e^(i n.arg z), the coherent amplitudes with the common factor z^c
+    divided out, evaluated in log space and scaled so that the largest
+    modulus is 1.  A coordinate that is exactly zero keeps only the states
+    with n_i = c_i (0^0 = 1), which is the reduced-cat limit; the state
+    n = (N - |c|, c) always survives.
     """
     if basis.D != spec.D or basis.N != spec.N:
         raise ValueError(
             f"spec (D={spec.D}, N={spec.N}) does not match basis "
             f"(D={basis.D}, N={basis.N})"
         )
-    idx, amplitudes = cat_amplitudes(basis, spec.c)
-    amps = amplitudes(np.asarray(spec.z))
+    idx = sector_indices(basis, spec.c)
+    n = basis.states[idx, 1:]
+    # on the sector c_i = n_i mod 2
+    excess = n - n % 2
+    z = np.asarray(spec.z)
+    mag = np.abs(z)
+    log_amp = 0.5 * basis.log_multinomials[idx] + excess @ np.log(
+        np.where(mag > 0.0, mag, 1.0)
+    )
+    log_amp[np.any(excess[:, mag == 0.0] > 0, axis=1)] = -np.inf
+    amps = np.exp(log_amp - log_amp.max() + 1j * (n @ np.angle(z)))
     coeffs = np.zeros(basis.size, dtype=complex)
     coeffs[idx] = amps / np.linalg.norm(amps)
     return SymmetricState(basis, coeffs)

@@ -22,15 +22,8 @@ from scipy.optimize import minimize
 
 from .coherent import SymmetricState, cs_expectation, cs_quadratic_expectation
 from .fock import FockBasis
-from .lmg import LMGParams, build_hamiltonian
-from .parity import (
-    CatSpec,
-    all_parity_labels,
-    apply_parity_flip,
-    cat_amplitudes,
-    dcat,
-    sector_indices,
-)
+from .lmg import LMGParams
+from .parity import CatSpec, all_parity_labels, apply_parity_flip, dcat, sector_indices
 
 # overlap search: GRID_POINTS^2 starts on [0, GRID_MAX]^2, Nelder-Mead from each
 GRID_POINTS = 5
@@ -78,8 +71,6 @@ def finite_N_energy(z, params: LMGParams) -> float:
 
     Converges to energy_surface(z) as N grows (fluctuations die as 1/N).
     """
-    if params.general:
-        raise ValueError("finite-N surface is defined for the density Hamiltonian")
     z = np.asarray(z, dtype=complex)
     D, N = params.D, params.N
     one_body = (
@@ -136,19 +127,13 @@ def gs_energy_limit(epsilon: float, lam: float) -> float:
 
 
 def variational_cat(
-    lam: float,
-    c,
-    params: LMGParams,
-    basis: FockBasis | None = None,
-    minimize_energy: bool = False,
+    lam: float, c, params: LMGParams, basis: FockBasis | None = None
 ) -> SymmetricState:
     """Parity-restored coherent approximation to a low-lying eigenstate.
 
-    Default is projection after minimization: take the large-N critical
-    point for this coupling, then project onto sector c (with the reduced
-    cat limit whenever a critical coordinate vanishes, i.e. phases I/II).
-    With minimize_energy=True the cat's finite-N energy expectation is
-    re-minimized over real coordinates before projecting.
+    Projection after minimization: take the large-N critical point for this
+    coupling, then project onto sector c (with the reduced cat limit
+    whenever a critical coordinate vanishes, i.e. phases I/II).
     """
     if params.D != 3:
         raise ValueError("variational cats use the D = 3 closed forms")
@@ -156,17 +141,6 @@ def variational_cat(
         basis = FockBasis(params.D, params.N)
     cp = critical_point(params.epsilon, lam)
     z = np.array([cp.z1, cp.z2], dtype=complex)
-    if minimize_energy:
-        H = build_hamiltonian(LMGParams(3, params.N, params.epsilon, lam), basis)
-        idx, amplitudes = cat_amplitudes(basis, c)
-        H_cc = H[idx][:, idx]
-
-        def cat_energy(x):
-            a = amplitudes(np.abs(x))
-            return float(np.vdot(a, H_cc @ a).real / np.vdot(a, a).real)
-
-        best = minimize(cat_energy, x0=z.real, method="Nelder-Mead", options=NELDER_MEAD)
-        z = np.abs(best.x).astype(complex)
     return dcat(basis, CatSpec(z, c, params.N))
 
 

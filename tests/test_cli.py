@@ -1,8 +1,9 @@
+import argparse
 import csv
 import io
 import warnings
 from contextlib import redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,11 @@ from quditcat.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
+    SETTINGS,
     ExperimentConfig,
+    _build_config,
     _write_csv,
+    build_parser,
     main,
 )
 from quditcat.variational import branch_centers, critical_point
@@ -370,6 +374,80 @@ def test_config_file_with_flag_override(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 1
     assert list(rows[0]) == ["lambda", "E0", "E1", "parity0", "parity1"]
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("[common]\nn = 8\nlamda-values = 0.5\nlevels = 2\n", "'lamda-values'"),
+        ("[DEFAULT]\nlamda-values = 0.5\n", "'lamda-values'"),
+        ("n = 8\n", "cannot parse"),
+        ("[common]\nout = run%1.csv\n", "cannot parse"),
+    ],
+    ids=[
+        "unknown-key", "unknown-default-key", "no-section-header", "bad-interpolation"
+    ],
+)
+def test_bad_config_file_is_config_error(tmp_path, capsys, text, named):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "s.csv"
+    assert run_cli(["spectrum", "--config", str(cfg)], out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err and str(cfg) in err
+    assert not out.exists()
+
+
+DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("spectrum", "e59472b9325e"),
+        ("fidelity", "3514a50d6dda"),
+        ("husimi", "7d348f0b3a13"),
+        ("localization", "82cf7e2873b7"),
+    ],
+)
+def test_desk_config_loads(command, digest):
+    args = build_parser().parse_args([command, "--config", str(DESK_CONFIG)])
+    cfg = _build_config(args)
+    assert (cfg.N, cfg.lam_steps, cfg.seed) == ((20,), 15, 7)
+    assert cfg.method == "importance_mc"
+    assert cfg.parities == ((0, 0), (1, 0), (0, 1), (1, 1))
+    # the settings the file leaves out keep the ExperimentConfig defaults
+    assert (cfg.workers, cfg.out, cfg.lam_values) == (1, "-", None)
+    assert cfg.digest() == digest
+
+
+def load_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return _build_config(build_parser().parse_args(["spectrum", "--config", str(path)]))
+
+
+def test_empty_config_value_leaves_the_couplings_unset(tmp_path):
+    config = load_config(tmp_path, "[lambda]\nlambda-values =\n")
+    assert config.lam_values is None
+    assert len(config.lam_grid()) == ExperimentConfig.lam_steps
+
+
+def test_default_section_keys_are_read(tmp_path):
+    assert load_config(tmp_path, "[DEFAULT]\nlevels = 2\n").levels == 2
+
+
+def test_flags_config_keys_and_fields_cover_each_other():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, p in sub.choices.items():
+        dests = [a.dest for a in p._actions if a.dest not in ("help", "config")]
+        # every flag has exactly one config key, and every key has a flag
+        assert sorted(dests) == sorted(SETTINGS), command
+    # and every key has exactly one field, and every field but command a key
+    names = sorted(field for field, _ in SETTINGS.values())
+    declared = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
+    assert names == sorted(declared)
 
 
 def test_stdout_output():

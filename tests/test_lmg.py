@@ -34,7 +34,6 @@ def test_params_validation():
         LMGParams(3, 0)
     with pytest.raises(ValueError):
         LMGParams(3, 1)  # density normalization needs two particles
-    LMGParams(3, 1, lambda1=0.1)  # general mode allows N = 1
 
 
 def test_free_spectrum_d2():
@@ -72,27 +71,6 @@ def test_hamiltonian_commutes_with_level_parities():
     for j in range(1, 3):
         signs = np.where(basis.states[:, j] % 2 == 1, -1.0, 1.0)
         assert np.all(H * signs[None, :] - signs[:, None] * H == 0.0)
-
-
-def test_general_mode_reduces_to_density_mode():
-    N = 8
-    basis = shared_basis(3, N)
-    dens = build_hamiltonian(LMGParams(3, N, 1.0, 0.9), basis).toarray()
-    gen = build_hamiltonian(
-        LMGParams(3, N, 1.0 / N, lambda1=-0.9 / (N * (N - 1)), lambda2=0.0),
-        basis,
-    ).toarray()
-    assert np.allclose(dens, gen, atol=1e-15)
-
-
-def test_general_mode_exchange_term_is_parity_safe():
-    basis = shared_basis(3, 6)
-    H = build_hamiltonian(
-        LMGParams(3, 6, 1.0, lambda1=0.3, lambda2=0.2), basis
-    ).toarray()
-    assert np.array_equal(H, H.T)
-    codes = basis.sector_codes
-    assert np.all(H[codes[:, None] != codes[None, :]] == 0.0)
 
 
 def test_diagonalize_free_case_matches_diagonal():

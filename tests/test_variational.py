@@ -10,7 +10,7 @@ import quditcat.variational
 from quditcat.coherent import SymmetricState, dscs
 from quditcat.fock import shared_basis
 from quditcat.lmg import LMGParams, build_hamiltonian, diagonalize
-from quditcat.parity import CatSpec, all_parity_labels, cat_amplitudes, dcat
+from quditcat.parity import CatSpec, all_parity_labels, dcat
 from quditcat.variational import (
     NELDER_MEAD,
     critical_point,
@@ -191,17 +191,6 @@ def test_variational_cat_phase_two_is_reduced_cat():
     assert abs(fidelity(got, manual) - 1.0) < 1e-12
 
 
-def test_variational_cat_energy_minimized_flag():
-    basis = shared_basis(3, 12)
-    params = LMGParams(3, 12, 1.0, 2.0)
-    H = build_hamiltonian(params, basis)
-    plain = variational_cat(2.0, (0, 0), params, basis)
-    optimized = variational_cat(2.0, (0, 0), params, basis, minimize_energy=True)
-    e_plain = float(np.real(np.vdot(plain.coeffs, H @ plain.coeffs)))
-    e_opt = float(np.real(np.vdot(optimized.coeffs, H @ optimized.coeffs)))
-    assert e_opt <= e_plain + 1e-12
-
-
 # -------------------------------------------------------------------- fidelity
 
 
@@ -293,7 +282,7 @@ def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
 
 def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_20):
     # the G/M grids are built when the search starts, and no Nelder-Mead
-    # step builds cat amplitudes
+    # step builds a cat
     builds = []
     real_objective = quditcat.variational.overlap_objective
 
@@ -301,8 +290,8 @@ def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_
         builds.append(1)
         return real_objective(*args, **kwargs)
 
-    def no_amplitudes(*args, **kwargs):
-        raise AssertionError("an overlap search built cat amplitudes")
+    def no_cat(*args, **kwargs):
+        raise AssertionError("an overlap search built a cat")
 
     steps = []
     real_minimize = quditcat.variational.minimize
@@ -313,7 +302,7 @@ def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_
         return res
 
     monkeypatch.setattr(quditcat.variational, "overlap_objective", counted_objective)
-    monkeypatch.setattr(quditcat.variational, "cat_amplitudes", no_amplitudes)
+    monkeypatch.setattr(quditcat.variational, "dcat", no_cat)
     monkeypatch.setattr(quditcat.variational, "minimize", counted_minimize)
     target = dcat(basis_3_20, CatSpec([0.45, 0.75], (1, 1), 20))
     for extra in ((), [(0.3, 0.2), (0.9, 0.1)]):
@@ -328,13 +317,11 @@ def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_
 
 
 def log_space_fidelity(psi, c):
-    """F(x) from the log-space cat amplitudes, the objective the grid replaced."""
-    idx, amplitudes = cat_amplitudes(psi.basis, c)
-    psi_c = psi.coeffs[idx]
+    """F(x) from the log-space amplitudes of `dcat`, which the grid replaced."""
+    basis = psi.basis
 
     def fidelity_at(x):
-        a = amplitudes(np.abs(x))
-        return min(abs(np.vdot(a, psi_c)) ** 2 / np.vdot(a, a).real, 1.0)
+        return fidelity(dcat(basis, CatSpec(np.abs(x), c, basis.N)), psi)
 
     return fidelity_at
 
