@@ -9,7 +9,10 @@ scatters particle pairs between levels.  Pair scattering conserves every
 level-population parity, so H is block diagonal over the Z2^(D-1) sectors.
 H is assembled as a sparse matrix and each sector block is solved on its
 own, so every eigenstate carries its sector label by construction, and
-each sector's lowest state comes straight from its own solve.  Levels are
+each sector's lowest state comes straight from its own solve.  Small
+blocks, and requests for nearly a whole block, use dense eigh; larger
+blocks use shift-invert Lanczos (ARPACK), checked by a sparse inertia
+count that a missed or duplicated level cannot pass.  Levels are
 merged in energy order; only levels that tie within the solver's accuracy
 are ordered by label, which keeps exactly degenerate clusters
 deterministic.
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 from .coherent import SymmetricState, spin_matrix
 from .fock import FockBasis
@@ -33,6 +37,9 @@ from .parity import all_parity_labels
 RESIDUAL_TOL = 1e-10
 # levels closer than TIE_ULPS * eps * scale are equal to solver accuracy
 TIE_ULPS = 64
+# sector blocks up to this size are solved with dense eigh, which beats
+# Lanczos plus the inertia count there (D = 3: every block up to N = 47)
+DENSE_BLOCK_MAX = 300
 
 
 class DiagonalizationError(Exception):
@@ -115,17 +122,72 @@ def classify_parity(state: SymmetricState) -> tuple[tuple[int, ...], float]:
     return all_parity_labels(basis.D)[code], float(weights[code])
 
 
+def _count_below(block: sparse.sparray, t: float) -> int | None:
+    """Number of eigenvalues of the symmetric block below t.
+
+    By Sylvester's law of inertia it is the number of negative pivots of a
+    symmetric LDL^T factorization of block - t I.  SuperLU gives one when
+    it permutes rows and columns alike; None when it did not, or when the
+    shifted block is exactly singular.
+    """
+    shifted = sparse.csc_array(block - t * sparse.eye_array(block.shape[0]))
+    try:
+        lu = splu(
+            shifted,
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def _lowest_levels(
+    block: sparse.sparray, k: int, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of one sector block, in ascending order.
+
+    A block larger than DENSE_BLOCK_MAX, asked for fewer than all but one
+    of its levels, goes to shift-invert Lanczos.  The shift -scale - 1 lies
+    below the whole spectrum, so block - sigma I is positive definite.  A
+    single start vector cannot see a second copy of a level that is
+    degenerate inside the block, and the residual check cannot catch a
+    missed level, so the result stands only if exactly k eigenvalues lie
+    below the highest one found (plus the residual bound).  Otherwise, or
+    when ARPACK fails, the block is solved with dense eigh.
+    """
+    n = block.shape[0]
+    if n > DENSE_BLOCK_MAX and k < n - 1:
+        # a fixed start vector makes reruns bit-identical
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            vals, vecs = eigsh(block, k, sigma=-scale - 1.0, which="LM", v0=v0)
+        except ArpackError:
+            pass
+        else:
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+            if _count_below(block, vals[-1] + RESIDUAL_TOL * scale) == k:
+                return vals, vecs
+    return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
+
+
 def diagonalize(
     H: sparse.sparray | np.ndarray, basis: FockBasis, k: int | None = None
 ) -> SpectrumResult:
     """Lowest k eigenpairs (all when k is None), solved per parity sector.
 
-    Each sector block of H is solved with dense eigh and embedded back into
-    the full basis, so labels are exact.  Levels come back in ascending
-    energy; levels within TIE_ULPS * eps * scale of each other are ordered
-    by parity label instead, so repeated runs give identical labels even
-    for numerically degenerate states.  Each sector's lowest eigenstate is
-    also kept in `ground_states`.
+    Each sector block of H is solved on its own (`_lowest_levels`: dense
+    eigh for small blocks, shift-invert Lanczos checked by an inertia
+    count for large ones) and embedded back into the full basis, so labels
+    are exact.  Levels come back in ascending energy; levels within
+    TIE_ULPS * eps * scale of each other are ordered by parity label
+    instead, so repeated runs give identical labels even for numerically
+    degenerate states.  Each sector's lowest eigenstate is also kept in
+    `ground_states`.
     """
     dim = H.shape[0]
     if H.shape != (dim, dim) or dim != basis.size:
@@ -150,9 +212,7 @@ def diagonalize(
         if idx.size == 0:
             continue
         block = H[idx][:, idx]
-        vals, vecs = scipy.linalg.eigh(
-            block.toarray(), subset_by_index=(0, min(k, idx.size) - 1)
-        )
+        vals, vecs = _lowest_levels(block, min(k, idx.size), scale)
         residual = np.linalg.norm(block @ vecs - vecs * vals[None, :], axis=0)
         # written so that a NaN residual fails too
         if not np.all(residual <= RESIDUAL_TOL * scale):

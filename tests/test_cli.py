@@ -329,19 +329,26 @@ def test_capacity_exit_code(tmp_path):
 
 
 def assert_spoilt_eigh_is_numerical_failure(
-    tmp_path, monkeypatch, capsys, spoil, message
+    tmp_path, monkeypatch, capsys, spoil, message,
+    owner=quditcat.lmg.scipy.linalg, solver="eigh", N=8,
 ):
-    real_eigh = quditcat.lmg.scipy.linalg.eigh
+    """Spoil the first eigenvector `solver` returns; both sweeps exit 3.
 
-    def spoilt_eigh(*args, **kwargs):
-        vals, vecs = real_eigh(*args, **kwargs)
+    The default is dense eigh at N = 8; quditcat.lmg's eigsh at N = 60
+    spoils the Lanczos path, which blocks above DENSE_BLOCK_MAX take.
+    """
+    real_solver = getattr(owner, solver)
+
+    def spoilt_solver(*args, **kwargs):
+        vals, vecs = real_solver(*args, **kwargs)
         vecs[:, 0] *= spoil
         return vals, vecs
 
-    monkeypatch.setattr(quditcat.lmg.scipy.linalg, "eigh", spoilt_eigh)
+    monkeypatch.setattr(owner, solver, spoilt_solver)
     for command in ("spectrum", "fidelity"):
         out = tmp_path / f"{command}.csv"
-        assert run_cli([command, "--N", "8", "--lambda-values", "1.0"], out) == EXIT_NUMERICAL
+        args = [command, "--N", str(N), "--lambda-values", "1.0"]
+        assert run_cli(args, out) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure" in err and message in err
         assert not out.exists()
@@ -359,6 +366,19 @@ def test_unnormalized_eigenvector_is_numerical_failure(tmp_path, monkeypatch, ca
     # state norm check, a ValueError that is not a config error
     assert_spoilt_eigh_is_numerical_failure(
         tmp_path, monkeypatch, capsys, 2.0, "state norm"
+    )
+
+
+@pytest.mark.parametrize(
+    "spoil, message", [(np.nan, "eigenpair residual"), (2.0, "state norm")]
+)
+def test_spoilt_lanczos_eigenvector_is_numerical_failure(
+    tmp_path, monkeypatch, capsys, spoil, message
+):
+    assert quditcat.lmg.DENSE_BLOCK_MAX < 465  # the smallest N = 60 block
+    assert_spoilt_eigh_is_numerical_failure(
+        tmp_path, monkeypatch, capsys, spoil, message,
+        owner=quditcat.lmg, solver="eigsh", N=60,
     )
 
 

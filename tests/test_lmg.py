@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,8 @@ from quditcat.cli import EXIT_CONFIG, main
 from quditcat.coherent import SymmetricState
 from quditcat.fock import shared_basis
 from quditcat.lmg import (
+    DENSE_BLOCK_MAX,
+    TIE_ULPS,
     DiagonalizationError,
     LMGParams,
     build_hamiltonian,
@@ -20,7 +24,7 @@ from quditcat.lmg import (
     diagonalize,
 )
 from quditcat.parity import CatSpec, all_parity_labels, dcat, parity_of, sector_mask
-from quditcat.variational import finite_N_energy
+from quditcat.variational import critical_point, finite_N_energy
 
 from conftest import random_phase_point
 
@@ -199,6 +203,167 @@ def test_nan_eigenpair_fails_the_residual_check(monkeypatch):
     H = build_hamiltonian(LMGParams(3, 8, 1.0, 1.0), basis)
     with pytest.raises(DiagonalizationError, match="residual"):
         diagonalize(H, basis, k=2)
+
+
+def _sector_blocks(H, basis):
+    """(label, indices, block) for every non-empty sector, in code order."""
+    H = sparse.csr_array(H)
+    for code, label in enumerate(all_parity_labels(basis.D)):
+        idx = np.nonzero(basis.sector_codes == code)[0]
+        if idx.size:
+            yield label, idx, H[idx][:, idx]
+
+
+def _dense_sector_levels(H, basis, k):
+    """Lowest min(k, n_c) levels of each sector block from dense eigh.
+
+    Returns the merged energies in ascending order with their labels.
+    """
+    energies, labels = [], []
+    for label, _, block in _sector_blocks(H, basis):
+        vals = scipy.linalg.eigh(
+            block.toarray(), eigvals_only=True,
+            subset_by_index=(0, min(k, block.shape[0]) - 1),
+        )
+        energies.extend(vals)
+        labels.extend([label] * vals.size)
+    order = np.argsort(energies, kind="stable")
+    return np.asarray(energies)[order], [labels[i] for i in order]
+
+
+def _assert_matches_dense_sector_levels(spec, H, basis, k):
+    energies, labels = _dense_sector_levels(H, basis, k)
+    assert np.all(np.abs(spec.eigenvalues - energies[:k]) <= 1e-12)
+    # levels closer than the energy tolerance form one cluster, whose
+    # members either solver may order differently
+    cluster = np.cumsum(np.r_[0, np.diff(energies) > 1e-12])
+    for c in np.unique(cluster[:k]):
+        got = sorted(spec.parities[i] for i in np.nonzero(cluster[:k] == c)[0])
+        want = sorted(labels[i] for i in np.nonzero(cluster == c)[0])
+        if np.all(cluster[k:] != c):
+            assert got == want
+        else:  # the cluster is cut at k: any of its members may be kept
+            assert all(got.count(x) <= want.count(x) for x in got)
+
+
+def _spy_on_dense_solves(monkeypatch) -> list:
+    """Record the block size of every dense eigh call diagonalize makes."""
+    sizes = []
+    real_eigh = quditcat.lmg.scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(quditcat.lmg.scipy.linalg, "eigh", spy)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "D, N, lam, k",
+    [(3, 100, 0.3, 6), (3, 100, 1.0, 6), (3, 100, 2.5, 6),
+     (2, 700, 1.0, 6), (4, 24, 1.0, 6)],
+)
+def test_lanczos_blocks_match_dense_eigh(monkeypatch, D, N, lam, k):
+    basis = shared_basis(D, N)
+    H = build_hamiltonian(LMGParams(D, N, 1.0, lam), basis)
+    dense_sizes = _spy_on_dense_solves(monkeypatch)
+    spec = diagonalize(H, basis, k=k)
+    # every block above the bound kept its Lanczos solve
+    sizes = [idx.size for _, idx, _ in _sector_blocks(H, basis)]
+    assert any(n > DENSE_BLOCK_MAX for n in sizes)
+    assert dense_sizes == [n for n in sizes if n <= DENSE_BLOCK_MAX]
+    monkeypatch.undo()
+    _assert_matches_dense_sector_levels(spec, H, basis, k)
+    for label, state in spec.ground_states.items():
+        assert classify_parity(state) == (label, pytest.approx(1.0, abs=1e-12))
+
+
+def _eigsh_from_all_ones(*args, **kwargs):
+    # an all-ones start vector has no component along all but one copy of
+    # each degenerate level of a diagonal block
+    kwargs["v0"] = np.ones(args[0].shape[0])
+    return eigsh(*args, **kwargs)
+
+
+@pytest.mark.parametrize("start", ["seeded", "all-ones"])
+def test_degenerate_free_levels_keep_their_multiplicities(monkeypatch, start):
+    # at lam = 0 each sector block is diagonal with many exactly degenerate
+    # levels; a Lanczos solve that misses a copy must fail the inertia count
+    # and give way to dense eigh
+    basis = shared_basis(3, 60)
+    H = build_hamiltonian(LMGParams(3, 60, 1.0, 0.0), basis)
+    if start == "all-ones":
+        monkeypatch.setattr(quditcat.lmg, "eigsh", _eigsh_from_all_ones)
+    dense_sizes = _spy_on_dense_solves(monkeypatch)
+    spec = diagonalize(H, basis, k=20)
+    assert len(dense_sizes) == (4 if start == "all-ones" else 0)
+    monkeypatch.undo()
+    # energies to 1e-12 on levels 1/60 apart: the same multiplicities
+    _assert_matches_dense_sector_levels(spec, H, basis, 20)
+
+
+def test_arpack_failure_falls_back_to_dense(monkeypatch):
+    basis = shared_basis(3, 60)
+    H = build_hamiltonian(LMGParams(3, 60, 1.0, 1.0), basis)
+    calls = []
+
+    def failing_eigsh(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(quditcat.lmg, "eigsh", failing_eigsh)
+    spec = diagonalize(H, basis, k=4)
+    assert len(calls) == 4
+    energies, labels = _dense_sector_levels(H, basis, 4)
+    assert np.array_equal(spec.eigenvalues, energies[:4])
+    assert spec.parities == labels[:4]
+    for label, idx, block in _sector_blocks(H, basis):
+        vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=(0, 3))[1]
+        assert np.array_equal(spec.ground_states[label].coeffs[idx], vecs[:, 0])
+
+
+def test_nan_lanczos_eigenpair_fails_the_residual_check(monkeypatch):
+    def nan_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        vecs[:, 0] = np.nan
+        return vals, vecs
+
+    monkeypatch.setattr(quditcat.lmg, "eigsh", nan_eigsh)
+    basis = shared_basis(3, 60)
+    H = build_hamiltonian(LMGParams(3, 60, 1.0, 1.0), basis)
+    with pytest.raises(DiagonalizationError, match="residual"):
+        diagonalize(H, basis, k=2)
+
+
+@pytest.mark.parametrize("lam", [1.0, 2.5])
+def test_large_n_sector_ground_energies_match_plain_lanczos(lam):
+    # unshifted Lanczos needs no factorization and no inertia count, so it
+    # shares no solver path with diagonalize
+    basis = shared_basis(3, 200)
+    params = LMGParams(3, 200, 1.0, lam)
+    H = build_hamiltonian(params, basis)
+    spec = diagonalize(H, basis, k=1)
+    for label, _, block in _sector_blocks(H, basis):
+        ref = eigsh(block, 1, which="SA", tol=0, return_eigenvectors=False)[0]
+        state = spec.ground_states[label]
+        energy = np.vdot(state.coeffs, H @ state.coeffs).real
+        assert abs(energy - ref) < 1e-10
+    cp = critical_point(1.0, lam)
+    assert spec.eigenvalues[0] <= finite_N_energy([cp.z1, cp.z2], params)
+
+
+def test_cross_sector_doublets_below_the_tie_threshold_come_in_label_order():
+    # deep in phase III at N = 100 the four lowest levels are two doublets,
+    # (00, 10) and (01, 11), each split by less than the tie threshold
+    basis = shared_basis(3, 100)
+    H = build_hamiltonian(LMGParams(3, 100, 1.0, 2.5), basis)
+    spec = diagonalize(H, basis, k=4)
+    tie = TIE_ULPS * np.finfo(float).eps * np.abs(H).sum(axis=1).max()
+    E = spec.eigenvalues
+    assert abs(E[1] - E[0]) <= tie and abs(E[3] - E[2]) <= tie
+    assert E[2] - E[1] > 1e-6
+    assert spec.parities == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
 def test_doublet_gap_shrinks_with_coupling():
