@@ -280,8 +280,8 @@ def test_lanczos_blocks_match_dense_eigh(monkeypatch, D, N, lam, k):
 
 
 def _eigsh_from_all_ones(*args, **kwargs):
-    # an all-ones start vector has no component along all but one copy of
-    # each degenerate level of a diagonal block
+    # on a diagonal block the all-ones start vector, and so its whole Krylov
+    # space, holds one direction per degenerate level: the copies are missed
     kwargs["v0"] = np.ones(args[0].shape[0])
     return eigsh(*args, **kwargs)
 
