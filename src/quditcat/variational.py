@@ -25,8 +25,9 @@ from .fock import FockBasis
 from .lmg import LMGParams
 from .parity import CatSpec, all_parity_labels, apply_parity_flip, dcat, sector_indices
 
-# overlap search: GRID_POINTS^2 starts on [0, GRID_MAX]^2, Nelder-Mead from each
-GRID_POINTS = 5
+# overlap search: F on a SCAN_POINTS x SCAN_POINTS grid over [0, GRID_MAX]^2,
+# then Nelder-Mead from the grid's best point and from each extra start
+SCAN_POINTS = 49
 GRID_MAX = 1.2
 # options of every Nelder-Mead search over cat coordinates
 NELDER_MEAD = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000}
@@ -167,6 +168,10 @@ def overlap_objective(psi: SymmetricState, c):
     at a corner of the grid; where that is below the smallest normal double
     (N > 650 at D = 3) building the grids raises FloatingPointError rather
     than let F become 0/0.
+
+    The map takes one point, shape (2,), and returns a float, or a batch,
+    shape (m, 2), and returns F at each row: the rows are grouped by pivot
+    and each group is two matrix products with its grid pair.
     """
     basis = psi.basis
     if basis.D != 3:
@@ -194,15 +199,23 @@ def overlap_objective(psi: SymmetricState, c):
         M[k[:, a], k[:, b]] = weight
         grids.append((a, b, G, M))
 
-    def fidelity_at(x: np.ndarray) -> float:
-        x1, x2 = x.tolist()
-        u = (1.0, x1 * x1, x2 * x2)
-        p = u.index(max(u))
-        a, b, G, M = grids[p]
-        t_a = (u[a] / u[p]) ** powers
-        t_b = (u[b] / u[p]) ** powers
-        num = t_a @ G @ t_b
-        return min(abs(num) ** 2 / ((t_a * t_a) @ M @ (t_b * t_b)), 1.0)
+    def fidelity_at(x):
+        x = np.asarray(x, dtype=float)
+        u = np.ones(x.shape[:-1] + (3,))
+        u[..., 1:] = x * x
+        u = u.reshape(-1, 3)
+        pivot = u.argmax(axis=1)  # the first largest, as u.index(max(u))
+        groups = set(pivot.tolist())
+        F = np.empty(len(u))
+        for p in groups:
+            rows = pivot == p if len(groups) > 1 else slice(None)
+            a, b, G, M = grids[p]
+            r = u[rows] / u[rows, p, None]
+            t_a = r[:, a, None] ** powers
+            t_b = r[:, b, None] ** powers
+            num = np.vecdot(t_b, t_a @ G)
+            F[rows] = abs(num) ** 2 / np.vecdot(t_b * t_b, (t_a * t_a) @ M)
+        return np.minimum(F, 1.0).reshape(x.shape[:-1])[()]
 
     return fidelity_at
 
@@ -214,13 +227,14 @@ def maximize_overlap(
 ) -> tuple[np.ndarray, float]:
     """Best-fidelity cat coordinates for a given eigenstate.
 
-    Maximizes F(z) = |<z_c|psi>|^2 over real (z1, z2) with Nelder-Mead
-    from a fixed grid of starts on [0, GRID_MAX]^2 plus any extra starts
-    (e.g. the critical point), so the result is deterministic.  F is the
-    bilinear form of `overlap_objective`, built once per search, so no
-    amplitude vector is built per step.  The objective has mirror-image
-    maxima at all sign flips; coordinates are reported in the non-negative
-    quadrant.
+    Maximizes F(z) = |<z_c|psi>|^2 over real (z1, z2).  F is the bilinear
+    form of `overlap_objective`, built once per search, so no amplitude
+    vector is built.  The search evaluates F in one batch on a fixed
+    SCAN_POINTS x SCAN_POINTS grid over [0, GRID_MAX]^2, then polishes with
+    Nelder-Mead from the grid's best point (the first in lex order on a tie)
+    and from each extra start (e.g. the critical point), so the result is
+    deterministic.  The objective has mirror-image maxima at all sign
+    flips; coordinates are reported in the non-negative quadrant.
 
     Returns (z_max, F_max).  Raises if every start fails to converge.
     """
@@ -229,8 +243,11 @@ def maximize_overlap(
     def neg_fidelity(x):
         return -fidelity_at(x)
 
-    axis = np.linspace(0.0, GRID_MAX, GRID_POINTS)
-    starts = [np.array([a, b]) for a in axis for b in axis]
+    axis = np.linspace(0.0, GRID_MAX, SCAN_POINTS)
+    scan = np.column_stack(
+        (np.repeat(axis, SCAN_POINTS), np.tile(axis, SCAN_POINTS))
+    )
+    starts = [scan[np.argmax(fidelity_at(scan))]]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
 
     best_x, best_f = None, np.inf

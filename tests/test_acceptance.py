@@ -62,13 +62,6 @@ def lowest_spectrum(N: int, lam: float, k: int = 6):
     return diagonalize(H, basis, k=k)
 
 
-def sector_minima(spec) -> dict:
-    first = {}
-    for idx, label in enumerate(spec.parities):
-        first.setdefault(label, idx)
-    return first
-
-
 def cat_branch_centers(lam: float) -> np.ndarray:
     cp = critical_point(1.0, lam)
     z = np.array([cp.z1, cp.z2])
@@ -320,11 +313,10 @@ def test_criterion_8c_overlap_maximization_floor():
     worst = (np.inf, None, None)
     for lam in np.geomspace(0.01, 20.0, 20):
         lam = float(lam)
-        spec = lowest_spectrum(20, lam, k=8)
-        minima = sector_minima(spec)
+        ground_states = lowest_spectrum(20, lam, k=1).ground_states
         cp = critical_point(1.0, lam)
         for state_idx, label in TRACKED_STATES.items():
-            target = spec.eigenstates[minima[label]]
+            target = ground_states[label]
             _, f_max = maximize_overlap(target, label, extra_starts=[(cp.z1, cp.z2)])
             if f_max < worst[0]:
                 worst = (f_max, lam, state_idx)

@@ -13,6 +13,7 @@ from quditcat.lmg import LMGParams, build_hamiltonian, diagonalize
 from quditcat.parity import CatSpec, all_parity_labels, dcat
 from quditcat.variational import (
     NELDER_MEAD,
+    TRACKED_STATES,
     critical_point,
     energy_surface,
     fidelity,
@@ -244,8 +245,9 @@ def test_maximize_overlap_tracks_critical_point_at_extremes():
 
 
 def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
-    # the sector of c is checked and resolved when the search starts; no
-    # Nelder-Mead step repeats it, however many steps the search takes
+    # the sector of c is checked and resolved when the search starts; neither
+    # the scan nor a Nelder-Mead step repeats it, however many steps the
+    # polish takes
     calls = {"_as_bits": 0, "sector_mask": 0}
     for name in calls:
         original = getattr(quditcat.parity, name)
@@ -275,14 +277,15 @@ def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
             calls[name] = 0
         maximize_overlap(target, (0, 0), extra_starts=extra)
         per_search.append(dict(calls))
-    assert steps[1] > steps[0] > 1000
+    # the extra starts add Nelder-Mead steps to the polish
+    assert steps[1] > steps[0] > 0
     assert per_search[0] == per_search[1]
     assert 1 <= per_search[0]["sector_mask"] <= 2
 
 
 def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_20):
-    # the G/M grids are built when the search starts, and no Nelder-Mead
-    # step builds a cat
+    # the G/M grids are built when the search starts, and neither the scan
+    # nor a Nelder-Mead step builds a cat
     builds = []
     real_objective = quditcat.variational.overlap_objective
 
@@ -310,8 +313,48 @@ def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_
         builds.clear()
         maximize_overlap(target, (1, 1), extra_starts=extra)
         assert builds == [1]
-    assert steps[1] > steps[0] > 1000
+    # the extra starts add Nelder-Mead steps to the polish
+    assert steps[1] > steps[0] > 0
 
+
+
+def grid_start_search(psi, c, extra_starts):
+    """The overlap search before the batched scan: Nelder-Mead from each of
+    the 5 x 5 starts on [0, 1.2]^2 and each extra start, same tie-break."""
+    objective = overlap_objective(psi, c)
+    axis = np.linspace(0.0, 1.2, 5)
+    starts = [np.array([a, b]) for a in axis for b in axis]
+    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    best_x, best_f = None, np.inf
+    for x0 in starts:
+        res = minimize(
+            lambda x: -objective(x), x0=x0, method="Nelder-Mead", options=NELDER_MEAD
+        )
+        assert res.success
+        x = np.abs(res.x)
+        if res.fun < best_f - 1e-12 or (
+            abs(res.fun - best_f) <= 1e-12 and tuple(x) < tuple(best_x)
+        ):
+            best_x, best_f = x, res.fun
+    return best_x, -best_f
+
+
+@pytest.mark.parametrize("N", [20, 50])
+def test_maximize_overlap_matches_the_grid_start_search(N):
+    # every fourth coupling of criterion 8c's grid, all four tracked sectors,
+    # the critical point as the extra start, as the fidelity sweep runs it
+    basis = shared_basis(3, N)
+    for lam in np.geomspace(0.01, 20.0, 20)[::4]:
+        lam = float(lam)
+        spec = diagonalize(build_hamiltonian(LMGParams(3, N, 1.0, lam), basis), basis, k=1)
+        cp = critical_point(1.0, lam)
+        for label in TRACKED_STATES.values():
+            target = spec.ground_states[label]
+            extra = [(cp.z1, cp.z2)]
+            z_max, f_max = maximize_overlap(target, label, extra_starts=extra)
+            z_ref, f_ref = grid_start_search(target, label, extra)
+            assert abs(f_max - f_ref) < 1e-12, (N, lam, label)
+            assert np.max(np.abs(z_max - z_ref)) < 1e-6, (N, lam, label)
 
 # ----------------------------------------------------------- overlap objective
 
@@ -347,7 +390,13 @@ def test_overlap_objective_matches_log_space_amplitudes(rng, N):
             with np.errstate(over="raise", invalid="raise"):
                 objective = overlap_objective(psi, c)
                 got = np.array([objective(p) for p in x])
+                # one (m, 2) call: its rows mix all three pivots, exact
+                # zeros and |x_i| up to 1e3
+                batch = objective(x)
             assert np.max(np.abs(got - want)) < 1e-13, (N, c)
+            assert batch.shape == (len(x),)
+            assert np.max(np.abs(batch - want)) < 1e-13, (N, c)
+            assert np.max(np.abs(batch - got)) < 1e-15, (N, c)
         assert got[-1] > 1.0 - 1e-12
 
 
