@@ -170,8 +170,10 @@ def overlap_objective(psi: SymmetricState, c):
     than let F become 0/0.
 
     The map takes one point, shape (2,), and returns a float, or a batch,
-    shape (m, 2), and returns F at each row: the rows are grouped by pivot
-    and each group is two matrix products with its grid pair.
+    shape (m, 2), and returns F at each row.  A batch is grouped by pivot,
+    and each group goes through the same products as one point, on (rows,
+    K + 1) power tables.  One point picks its pivot on Python floats, so a
+    Nelder-Mead step costs little more than its four small products.
     """
     basis = psi.basis
     if basis.D != 3:
@@ -199,23 +201,35 @@ def overlap_objective(psi: SymmetricState, c):
         M[k[:, a], k[:, b]] = weight
         grids.append((a, b, G, M))
 
+    ones = np.ones(size)
+
+    def on_grid(p, r_a, r_b):
+        # F on pivot p's grid pair, at one ratio pair or at (m, 1) columns;
+        # "@ ones" sums the last axis of either shape
+        _, _, G, M = grids[p]
+        t_a = r_a**powers
+        t_b = r_b**powers
+        num = (t_a @ G * t_b) @ ones
+        return abs(num) ** 2 / (((t_a * t_a) @ M * (t_b * t_b)) @ ones)
+
     def fidelity_at(x):
         x = np.asarray(x, dtype=float)
-        u = np.ones(x.shape[:-1] + (3,))
-        u[..., 1:] = x * x
-        u = u.reshape(-1, 3)
+        if x.ndim == 1:
+            x1, x2 = x.tolist()
+            u = (1.0, x1 * x1, x2 * x2)
+            p = u.index(max(u))
+            a, b, _, _ = grids[p]
+            return min(on_grid(p, u[a] / u[p], u[b] / u[p]), 1.0)
+        u = np.ones((len(x), 3))
+        u[:, 1:] = x * x
         pivot = u.argmax(axis=1)  # the first largest, as u.index(max(u))
-        groups = set(pivot.tolist())
-        F = np.empty(len(u))
-        for p in groups:
-            rows = pivot == p if len(groups) > 1 else slice(None)
-            a, b, G, M = grids[p]
+        F = np.empty(len(x))
+        for p in set(pivot.tolist()):
+            rows = pivot == p
+            a, b, _, _ = grids[p]
             r = u[rows] / u[rows, p, None]
-            t_a = r[:, a, None] ** powers
-            t_b = r[:, b, None] ** powers
-            num = np.vecdot(t_b, t_a @ G)
-            F[rows] = abs(num) ** 2 / np.vecdot(t_b * t_b, (t_a * t_a) @ M)
-        return np.minimum(F, 1.0).reshape(x.shape[:-1])[()]
+            F[rows] = on_grid(p, r[:, a, None], r[:, b, None])
+        return np.minimum(F, 1.0)
 
     return fidelity_at
 
