@@ -317,7 +317,6 @@ def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_
     assert steps[1] > steps[0] > 0
 
 
-
 def grid_start_search(psi, c, extra_starts):
     """The overlap search before the batched scan: Nelder-Mead from each of
     the 5 x 5 starts on [0, 1.2]^2 and each extra start, same tie-break."""
@@ -355,6 +354,7 @@ def test_maximize_overlap_matches_the_grid_start_search(N):
             z_ref, f_ref = grid_start_search(target, label, extra)
             assert abs(f_max - f_ref) < 1e-12, (N, lam, label)
             assert np.max(np.abs(z_max - z_ref)) < 1e-6, (N, lam, label)
+
 
 # ----------------------------------------------------------- overlap objective
 
