@@ -242,33 +242,39 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _column_text(col) -> list[str]:
+    """The CSV text of each value of one column, in row order."""
+    if isinstance(col, np.ndarray) and col.dtype.kind in "fbiuSU":
+        if col.dtype.kind == "f":
+            # keyed on the bit pattern: by value, -0.0 would merge with 0.0
+            # and each NaN would count as a distinct value
+            bits, index = np.unique(
+                np.asarray(col, dtype=np.float64).view(np.uint64), return_inverse=True
+            )
+            texts = map(repr, bits.view(np.float64).tolist())
+        else:
+            distinct, index = np.unique(col, return_inverse=True)
+            texts = map(str, distinct.tolist())
+        return np.array(list(texts), dtype=object)[index].tolist()
+    # format() writes a numpy scalar as the Python scalar it holds
+    return list(map(format, col.tolist() if isinstance(col, np.ndarray) else col))
+
+
 def _write_csv(cfg: ExperimentConfig, header: list[str], columns) -> None:
     """Write the metadata line, the header and the rows of `columns`.
 
     Each column is an array or a sequence of scalars, numpy or Python.  A
     float is written as its repr and any other value as its str, a numpy
-    scalar as the Python scalar it holds; each row is formatted by one
-    template call.
+    scalar as the Python scalar it holds.  In an array of floats, ints,
+    bools or strings each distinct value (a float by its bit pattern) is
+    formatted once and its text reused for every row that holds it.
     """
-    cols, fields = [], []
-    for col in columns:
-        if isinstance(col, np.ndarray):
-            values, floats = col.tolist(), col.dtype.kind == "f"
-        else:
-            values = list(col)
-            floats = all(type(v) is float for v in values)
-        cols.append(values)
-        # "{}" formats a numpy scalar as its Python value and a float as its
-        # repr; the repr conversion is only the faster one for floats
-        fields.append("{!r}" if floats else "{}")
-    template = ",".join(fields)
     lines = [
         f"# quditcat={__version__} command={cfg.command} "
         f"config_digest={cfg.digest()} seed={cfg.seed}",
         ",".join(header),
     ]
-    if cols:
-        lines.extend(map(template.format, *cols))
+    lines.extend(map(",".join, zip(*map(_column_text, columns))))
     text = "\n".join(lines) + "\n"
     if cfg.out == "-":
         sys.stdout.write(text)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quditcat.husimi
 import quditcat.lmg
@@ -140,6 +142,25 @@ def format_value(value) -> str:
     return str(value)
 
 
+def expected_csv(cfg, header, columns) -> str:
+    """The text `_write_csv` must write, formatted value by value."""
+    lines = [
+        f"# quditcat={__version__} command={cfg.command} "
+        f"config_digest={cfg.digest()} seed={cfg.seed}",
+        ",".join(header),
+    ] + [",".join(format_value(v) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def written_csv(header, columns) -> str:
+    cfg = ExperimentConfig("husimi", seed=5, out="-")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        _write_csv(cfg, header, columns)
+    assert buf.getvalue() == expected_csv(cfg, header, columns)
+    return buf.getvalue()
+
+
 def test_csv_writer_matches_per_value_format(tmp_path):
     columns = [
         np.array([-0.0, 1e-300, 0.1, 1e16, -2.5e-7]),
@@ -153,11 +174,55 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     header = ["a", "b", "c", "d", "e", "f", "g"]
     cfg = ExperimentConfig("husimi", seed=5, out=str(tmp_path / "w.csv"))
     _write_csv(cfg, header, columns)
-    expected = [
-        f"# quditcat={__version__} command=husimi config_digest={cfg.digest()} seed=5",
-        ",".join(header),
-    ] + [",".join(format_value(v) for v in row) for row in zip(*columns)]
-    assert (tmp_path / "w.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    expected = expected_csv(cfg, header, columns)
+    assert (tmp_path / "w.csv").read_bytes() == expected.encode()
+
+
+def test_csv_writer_matches_per_value_format_on_a_husimi_map():
+    # two maps on one grid, as `cmd_husimi` concatenates them
+    axis = np.linspace(-1.5, 1.5, 9)  # holds 0.0
+    x1, x2 = (np.tile(g.ravel(), 2) for g in np.meshgrid(axis, axis, indexing="ij"))
+    m = axis.size**2
+    nan_payload = np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64)
+    special = np.concatenate([
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 0.1, 0.1, -0.0],
+        nan_payload.view(np.float64),
+    ])
+    q = np.resize(
+        np.concatenate([special, np.random.default_rng(0).random(m // 2)]), 2 * m
+    )
+    columns = [
+        np.concatenate([np.full(m, 0.25), np.full(m, 3.0)]),
+        np.concatenate([np.full(m, "00"), np.full(m, "11")]),
+        x1,
+        x2,
+        q,
+        np.concatenate([np.full(m, 4), np.full(m, 2)]),
+        q.astype(np.float32),
+    ]
+    text = written_csv(["lambda", "parity", "x1", "x2", "Q", "humps", "Q32"], columns)
+    rows = text.splitlines()[2:]
+    assert len(rows) == 2 * m
+    assert rows[0].split(",")[4:] == ["0.0", "4", "0.0"]
+    assert rows[1].split(",")[4:] == ["-0.0", "4", "-0.0"]
+    assert [row.split(",")[4] for row in rows[10:12]] == ["nan", "nan"]
+
+
+def test_csv_writer_without_rows_writes_the_header():
+    columns = [np.array([]), np.array([], dtype="<U2"), np.array([], dtype=np.int64), []]
+    text = written_csv(["a", "b", "c", "d"], columns)
+    assert text.splitlines()[1:] == ["a,b,c,d"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40),
+)
+def test_csv_writer_matches_per_value_format_on_repeated_floats(values, picks):
+    values = np.array(values)
+    columns = [values[[p[i] % len(values) for p in picks]] for i in (0, 1)]
+    written_csv(["a", "b"], columns)
 
 
 def test_digest_hashes_only_the_settings_read():
