@@ -246,8 +246,8 @@ def _column_text(col) -> list[str]:
     """The CSV text of each value of one column, in row order."""
     if isinstance(col, np.ndarray) and col.dtype.kind in "fbiuSU":
         if col.dtype.kind == "f":
-            # keyed on the bit pattern: by value, -0.0 would merge with 0.0
-            # and each NaN would count as a distinct value
+            # keyed on the bit pattern: by value, -0.0 and 0.0 would share
+            # one text, and NaN equals nothing
             bits, index = np.unique(
                 np.asarray(col, dtype=np.float64).view(np.uint64), return_inverse=True
             )
