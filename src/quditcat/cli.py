@@ -442,9 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--parity", help="comma list of parity bit strings")
         p.add_argument("--levels", type=int, help="levels written per coupling by spectrum")
-        p.add_argument("--method", choices=["haar_mc", "importance_mc"])
-        p.add_argument("--samples", type=int)
-        p.add_argument("--batch", type=int)
+        p.add_argument(
+            "--method",
+            choices=["haar_mc", "importance_mc"],
+            help="Wehrl integral by uniform (Haar) sampling or importance "
+            "sampling from the cat's coherent branches (default haar_mc)",
+        )
+        p.add_argument(
+            "--samples", type=int, help="Monte-Carlo samples per integral (default 1000000)"
+        )
+        p.add_argument(
+            "--batch",
+            type=int,
+            help="samples per jackknife batch, each drawn from its own seeded "
+            "stream (default 200000)",
+        )
         p.add_argument("--grid-points", dest="grid_points", type=int)
         p.add_argument("--grid-half-range", dest="grid_half_range", type=float)
         p.add_argument("--grid-slice", dest="grid_slice", choices=["position", "momentum"])

@@ -40,10 +40,20 @@ DEFAULT_MOMENT_CAP = 10_000_000
 # per-sample temporaries (power tables and first mode product): 64 MB
 _CHUNK_ELEMENTS = 4_000_000
 
+# Monte-Carlo batches are evaluated in blocks of whole consecutive batches
+# of at most this many of those elements (4 MB), one kernel call per block
+_BLOCK_ELEMENTS = 250_000
+
 
 @dataclass(frozen=True)
 class IntegrationSpec:
-    """Monte-Carlo integration plan; deterministic for a fixed seed."""
+    """Monte-Carlo integration plan; deterministic for a fixed seed.
+
+    `batch` is the number of samples per jackknife batch, each drawn from
+    its own `SeedSequence` stream.  It does not set the size of a kernel
+    call: `phase_space_expectation` evaluates whole consecutive batches in
+    blocks of at most `_BLOCK_ELEMENTS`, and a larger batch on its own.
+    """
 
     method: str = "haar_mc"
     samples: int = 1_000_000
@@ -116,7 +126,7 @@ def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
     N = basis.N
     hom = np.concatenate([np.ones((zs.shape[0], 1), dtype=complex), zs], axis=1)
     pivots = np.argmax(np.abs(hom), axis=1)
-    chunk = _chunk_rows(basis)
+    chunk = _chunk_rows(basis, _CHUNK_ELEMENTS)
     out = np.empty(zs.shape[0])
     # a weight, a term or a Q below the smallest double is 0 within the
     # absolute error contract, so underflow is no failure here; the
@@ -136,11 +146,12 @@ def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0)
 
 
-def _chunk_rows(basis: FockBasis) -> int:
-    """Samples per chunk of husimi_values: the D - 1 power tables and the
-    first mode product of one sample hold (D-1)(N+1) + (N+1)^(D-2) values."""
+def _chunk_rows(basis: FockBasis, elements: int) -> int:
+    """Samples of husimi_values whose temporaries fit in `elements`: the
+    D - 1 power tables and the first mode product of one sample hold
+    (D-1)(N+1) + (N+1)^(D-2) complex values.  At least one sample."""
     per_sample = (basis.D - 1) * (basis.N + 1) + (basis.N + 1) ** (basis.D - 2)
-    return max(1, _CHUNK_ELEMENTS // per_sample)
+    return max(1, elements // per_sample)
 
 
 def _amplitude_weights(state: SymmetricState) -> tuple[np.ndarray, float]:
@@ -289,6 +300,14 @@ def phase_space_expectation(
     importance_mc samples come from an equal-weight mixture of coherent
     Husimi densities at the supplied branch `centers` and the integrand is
     reweighted by the mixture density.
+
+    The samples fall into jackknife batches of about `spec.batch`, each
+    drawn from its own `SeedSequence` stream.  Whole consecutive batches
+    are evaluated together, one `husimi_values` call per block of at most
+    `_BLOCK_ELEMENTS` (a larger batch is a block of its own), and each
+    batch is then summed over its own slice.  Every sample's f(Q) and
+    mixture density are independent of its block mates, so the result
+    does not depend on the block budget.
     """
     basis = state.basis
     dim = basis.size
@@ -301,26 +320,46 @@ def phase_space_expectation(
     sizes = [len(part) for part in np.array_split(np.arange(spec.samples), n_batches)]
     streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
 
-    sums = np.empty(n_batches)
-    for b, (n_b, ss) in enumerate(zip(sizes, streams)):
+    def draw(n_b, ss):
         rng = np.random.default_rng(ss)
         if spec.method == "haar_mc":
-            zs = haar_sample(basis.D, rng, n_b)
-            vals = dim * integrand(husimi_values(state, zs))
-        else:
-            which = rng.integers(0, centers.shape[0], n_b)
-            zs = np.empty((n_b, basis.D - 1), dtype=complex)
-            for idx in range(centers.shape[0]):
-                mask = which == idx
-                if np.any(mask):
-                    zs[mask] = sample_dscs_husimi(
-                        centers[idx], basis.N, rng, int(mask.sum())
-                    )
-            log_p = logsumexp(
-                _log_branch_husimi(zs, centers, basis.N), axis=1
-            ) - np.log(centers.shape[0])
-            vals = integrand(husimi_values(state, zs)) * np.exp(-log_p)
-        sums[b] = float(np.sum(vals))
+            return haar_sample(basis.D, rng, n_b)
+        which = rng.integers(0, centers.shape[0], n_b)
+        zs = np.empty((n_b, basis.D - 1), dtype=complex)
+        for idx in range(centers.shape[0]):
+            mask = which == idx
+            if np.any(mask):
+                zs[mask] = sample_dscs_husimi(
+                    centers[idx], basis.N, rng, int(mask.sum())
+                )
+        return zs
+
+    def weighted(zs):
+        vals = integrand(husimi_values(state, zs))
+        if spec.method == "haar_mc":
+            return dim * vals
+        log_p = logsumexp(
+            _log_branch_husimi(zs, centers, basis.N), axis=1
+        ) - np.log(centers.shape[0])
+        return vals * np.exp(-log_p)
+
+    # consecutive batches of at most block_rows samples in all, or one batch
+    block_rows = _chunk_rows(basis, _BLOCK_ELEMENTS)
+    blocks, first, filled = [], 0, 0
+    for b, n_b in enumerate(sizes):
+        if b > first and filled + n_b > block_rows:
+            blocks.append(range(first, b))
+            first, filled = b, 0
+        filled += n_b
+    blocks.append(range(first, n_batches))
+
+    sums = np.empty(n_batches)
+    for block in blocks:
+        vals = weighted(np.concatenate([draw(sizes[b], streams[b]) for b in block]))
+        stop = 0
+        for b in block:
+            start, stop = stop, stop + sizes[b]
+            sums[b] = float(np.sum(vals[start:stop]))
 
     sizes = np.asarray(sizes, dtype=float)
     total = sums.sum()

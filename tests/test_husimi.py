@@ -30,6 +30,7 @@ from quditcat.husimi import (
     wehrl_entropy,
 )
 from quditcat.parity import CatSpec, all_parity_labels, dcat
+from quditcat.variational import branch_centers
 
 from conftest import random_phase_point
 
@@ -126,7 +127,7 @@ def test_husimi_values_chunk_boundary_is_exact(basis_3_20, rng, pivot):
     # pivot None mixes samples of all three pivots (largest coordinate of
     # (1, z)); 0 and 2 put every sample on one (|z_k| < 1, or |z_2| largest)
     state = random_state(rng, basis_3_20)
-    chunk = quditcat.husimi._chunk_rows(basis_3_20)
+    chunk = quditcat.husimi._chunk_rows(basis_3_20, quditcat.husimi._CHUNK_ELEMENTS)
     shape = (chunk + 5, 2)
     zs = rng.uniform(-3.0, 3.0, shape) + 1j * rng.uniform(-3.0, 3.0, shape)
     if pivot == 0:
@@ -428,6 +429,68 @@ def test_importance_requires_centers(basis_3_10):
     state = dscs(basis_3_10, [0.1, 0.1])
     with pytest.raises(ValueError):
         moment_mc(state, 2, IntegrationSpec("importance_mc", 10_000, 1, 5_000))
+
+
+def _counted_kernel(monkeypatch) -> list:
+    """Record the row count of every husimi_values call made through the module."""
+    calls = []
+    values = quditcat.husimi.husimi_values
+
+    def counted(state, zs):
+        calls.append(len(zs))
+        return values(state, zs)
+
+    monkeypatch.setattr(quditcat.husimi, "husimi_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["haar_mc", "importance_mc"])
+def test_expectation_is_independent_of_the_block_budget(
+    basis_3_20, monkeypatch, method
+):
+    # 11 uneven batches (92, 92, 91, ...); per sample the kernel holds
+    # 2 * 21 + 21 elements at N = 20, so the budgets give 11, 6, 1 and 1 blocks
+    cat = dcat(basis_3_20, CatSpec([0.7, 0.5], (0, 0), 20))
+    spec = IntegrationSpec(method, samples=1003, seed=5, batch=100)
+    centers = branch_centers(3, 2.5) if method == "importance_mc" else None
+    per_sample = 2 * 21 + 21
+    budgets = {
+        "one batch per block": 1,
+        "two batches per block": 200 * per_sample,
+        "default": quditcat.husimi._BLOCK_ELEMENTS,
+        "whole integral": 1003 * per_sample,
+    }
+    calls = _counted_kernel(monkeypatch)
+    results, blocks = {}, {}
+    for name, budget in budgets.items():
+        monkeypatch.setattr(quditcat.husimi, "_BLOCK_ELEMENTS", budget)
+        calls.clear()
+        results[name] = wehrl_entropy(cat, spec, centers)
+        blocks[name] = list(calls)
+    assert blocks["one batch per block"] == [92, 92] + [91] * 9
+    assert blocks["two batches per block"] == [184, 182, 182, 182, 182, 91]
+    assert blocks["default"] == [1003]
+    assert blocks["whole integral"] == [1003]
+    reference = results["one batch per block"]
+    for name, result in results.items():
+        assert result == reference, name
+
+
+def test_expectation_calls_the_kernel_once_per_block(monkeypatch):
+    basis = shared_basis(3, 50)
+    cat = dcat(basis, CatSpec([1.0, 0.8], (0, 0), 50))
+    centers = branch_centers(3, 2.5)
+    rows = quditcat.husimi._chunk_rows(basis, quditcat.husimi._BLOCK_ELEMENTS)
+    assert rows == 250_000 // (2 * 51 + 51)
+    calls = _counted_kernel(monkeypatch)
+    # the localization sweep's integral: 40 batches of 250 in 7 blocks
+    wehrl_entropy(cat, IntegrationSpec("importance_mc", 10_000, 1, 250), centers)
+    assert len(calls) == 7 and sum(calls) == 10_000
+    assert max(calls) <= rows
+    # a batch above the budget is a block of its own, as large as before
+    calls.clear()
+    wehrl_entropy(cat, IntegrationSpec("importance_mc", 50_000, 1, 25_000), centers)
+    assert calls == [25_000, 25_000]
 
 
 # ------------------------------------------------------------- normalization
