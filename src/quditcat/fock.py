@@ -6,9 +6,9 @@ i.e. the compositions of N into D non-negative parts.  Its dimension is
 binom(N+D-1, D-1).  States are enumerated in descending lexicographic
 order so that the level-0 condensate (N, 0, ..., 0) sits at index 0.
 
-All factorial-type weights are handled through log-gamma so that particle
-numbers of several hundred stay inside double-precision range; an exact
-big-integer multinomial is kept around as a test oracle.
+All factorial-type weights are handled through log-factorials so that
+particle numbers of several hundred stay inside double-precision range; an
+exact big-integer multinomial is kept around as a test oracle.
 """
 
 from __future__ import annotations
@@ -17,9 +17,12 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 DEFAULT_MAX_STATES = 10_000_000
+
+# ln k! = math.lgamma(k + 1) for k < len(_log_factorials); it is grown by
+# replacing it whole, so concurrent readers always see a complete table
+_log_factorials = np.zeros(1)
 
 
 class CapacityError(Exception):
@@ -146,18 +149,27 @@ def shared_basis(D: int, N: int) -> FockBasis:
     return FockBasis(D, N)
 
 
+def log_factorial(k) -> np.ndarray:
+    """ln k! for non-negative integers k; the table at least doubles on demand."""
+    global _log_factorials
+    k, table = np.asarray(k, dtype=np.int64), _log_factorials
+    if k.size and k.max() >= len(table):
+        grown = range(len(table), max(int(k.max()) + 1, 2 * len(table)))
+        table = _log_factorials = np.append(table, [math.lgamma(i + 1) for i in grown])
+    return table[k]
+
+
 def log_multinomial(n) -> np.ndarray | float:
     """ln of the multinomial weight N!/prod_i n_i! of an occupation vector.
 
     Accepts a single vector or a 2-d array of vectors (one per row).
-    Computed with log-gamma, accurate to better than 1e-12 relative
+    Computed from log-factorials, accurate to better than 1e-12 relative
     for particle numbers up to several hundred.
     """
     n = np.asarray(n, dtype=np.int64)
     if np.any(n < 0):
         raise ValueError("occupation numbers must be non-negative")
-    total = n.sum(axis=-1)
-    out = gammaln(total + 1.0) - gammaln(n + 1.0).sum(axis=-1)
+    out = log_factorial(n.sum(axis=-1)) - log_factorial(n).sum(axis=-1)
     return out if out.ndim else float(out)
 
 

@@ -23,16 +23,15 @@ the Wehrl integral, which has no closed form at finite N.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import gammaln, logsumexp
 
 from .coherent import SymmetricState
-from .fock import CapacityError, FockBasis, basis_size
+from .fock import CapacityError, FockBasis, basis_size, log_multinomial
 
 DEFAULT_MOMENT_CAP = 10_000_000
 
@@ -287,6 +286,17 @@ def _log_branch_husimi(zs: np.ndarray, centers: np.ndarray, N: int) -> np.ndarra
     )
 
 
+def _logsumexp(a, axis=None) -> np.ndarray:
+    """ln sum exp(a) over `axis` (every entry if None), shifted by the max;
+    a non-finite max shifts by 0, so an all -inf slice gives -inf quietly."""
+    a = np.asarray(a, dtype=float)
+    shift = np.max(a, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - shift), axis=axis, keepdims=True)) + shift
+    return np.squeeze(out, axis=axis)
+
+
 def phase_space_expectation(
     state: SymmetricState,
     integrand,
@@ -338,7 +348,7 @@ def phase_space_expectation(
         vals = integrand(husimi_values(state, zs))
         if spec.method == "haar_mc":
             return dim * vals
-        log_p = logsumexp(
+        log_p = _logsumexp(
             _log_branch_husimi(zs, centers, basis.N), axis=1
         ) - np.log(centers.shape[0])
         return vals * np.exp(-log_p)
@@ -424,12 +434,10 @@ def moment_analytic(
     valid = (k0 >= 0) & (np.abs(result) > 0.0)
     if not np.any(valid):
         return MomentReport(0.0, 0.0, "analytic")
-    log_w = gammaln(k0[valid] + 1.0) - gammaln(M + 1.0)
-    for axis_k in ks:
-        log_w += gammaln(axis_k[valid] + 1.0)
+    log_w = -log_multinomial(np.stack([k0[valid], *(k[valid] for k in ks)], axis=1))
     log_terms = 2.0 * np.log(np.abs(result[valid])) + 2.0 * nu * scale + log_w
     log_ratio = math.log(basis_size(D, N)) - math.log(basis_size(D, M))
-    value = float(np.exp(logsumexp(log_terms) + log_ratio))
+    value = float(np.exp(_logsumexp(log_terms) + log_ratio))
     return MomentReport(value, 0.0, "analytic")
 
 
@@ -547,6 +555,17 @@ def count_humps(state: SymmetricState, spec: HusimiGridSpec) -> int:
     return count_map_humps(q.reshape((spec.points,) * (state.basis.D - 1)))
 
 
+def _neighbours(a: np.ndarray, reach: int, fill) -> list[np.ndarray]:
+    """a shifted by every non-zero offset of at most `reach` cells per axis,
+    with `fill` beyond the edge."""
+    padded = np.pad(a, reach, constant_values=fill)
+    return [
+        padded[tuple(slice(reach + o, reach + o + n) for o, n in zip(off, a.shape))]
+        for off in itertools.product(range(-reach, reach + 1), repeat=a.ndim)
+        if any(off)
+    ]
+
+
 def count_map_humps(q: np.ndarray) -> int:
     """Number of local maxima of a Husimi map already on its position grid.
 
@@ -555,42 +574,23 @@ def count_map_humps(q: np.ndarray) -> int:
     """
     if min(q.shape) < 64:
         raise ValueError("hump counting needs at least 64 points per axis")
-    n_axes = q.ndim
-
-    padded = np.pad(q, 1, mode="constant", constant_values=-np.inf)
-    is_max = np.ones_like(q, dtype=bool)
-    offsets = (
-        [(-1,), (1,)]
-        if n_axes == 1
-        else [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-    )
-    core = (slice(1, -1),) * n_axes
-    for off in offsets:
-        shifted = padded[tuple(slice(1 + o, padded.shape[d] - 1 + o) for d, o in enumerate(off))]
-        is_max &= q >= shifted
-    # edge nodes cannot be certified as maxima
-    border = np.ones_like(is_max)
-    border[core] = False
-    is_max &= ~border
-    # floating-point dust along exact zero curves of Q must not register;
-    # genuine humps of normalized states sit many decades above it
-    top = float(q.max())
-    if top <= 0.0:
-        return 0
-    is_max &= q > 1e-9 * top
-
-    structure = np.ones((3,) * n_axes, dtype=int)
-    labels, count = ndimage.label(is_max, structure=structure)
-    peaks = ndimage.maximum(q, labels, index=np.arange(1, count + 1))
-    reach = np.ones((5,) * n_axes, dtype=bool)  # cells at most two apart
-    for i in range(1, count):
-        near = np.unique(labels[ndimage.binary_dilation(labels == i, reach)])
-        near = near[near > i]
-        if np.any(np.abs(peaks[near - 1] - peaks[i - 1]) < 1e-6):
-            warnings.warn(
-                "merge ambiguity: two humps one cell apart differ by less "
-                "than 1e-6 in Q",
-                stacklevel=2,
-            )
+    # nodes as high as every neighbour, off the edge, where none can be
+    # certified, and above the dust along exact zero curves of Q
+    is_max = np.all([q >= s for s in _neighbours(q, 1, -np.inf)], axis=0)
+    is_max = np.pad(is_max[(slice(1, -1),) * q.ndim], 1) & (q > 1e-9 * q.max())
+    # number the maxima, then let each take the largest number among its
+    # neighbouring maxima until none changes: one number per hump
+    labels = np.where(is_max, np.arange(1, q.size + 1).reshape(q.shape), 0)
+    previous = None
+    while not np.array_equal(labels, previous):
+        previous = labels
+        labels = np.where(is_max, np.max([labels, *_neighbours(labels, 1, 0)], axis=0), 0)
+    # neighbouring maxima are equal, so a hump is as high as any of its cells
+    height = np.where(is_max, q, np.nan)
+    for other, other_height in zip(_neighbours(labels, 2, 0), _neighbours(height, 2, np.nan)):
+        # a hump at most two cells away whose height is within 1e-6
+        if np.any((other != labels) & (np.abs(other_height - height) < 1e-6)):
+            msg = "merge ambiguity: two humps one cell apart differ by less than 1e-6 in Q"
+            warnings.warn(msg, stacklevel=2)
             break
-    return int(count)
+    return len(np.unique(labels[is_max]))

@@ -14,11 +14,10 @@ recovers it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .coherent import SymmetricState, cs_expectation, cs_quadratic_expectation
 from .fock import FockBasis
@@ -26,11 +25,14 @@ from .lmg import LMGParams
 from .parity import CatSpec, all_parity_labels, apply_parity_flip, dcat, sector_indices
 
 # overlap search: F on a SCAN_POINTS x SCAN_POINTS grid over [0, GRID_MAX]^2,
-# then Nelder-Mead from the grid's best point and from each extra start
+# then the compass search of `minimize` from the grid's best point and from
+# each extra start; MAX_STEPS only ends a search whose F rises for ever
 SCAN_POINTS = 49
 GRID_MAX = 1.2
-# options of every Nelder-Mead search over cat coordinates
-NELDER_MEAD = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000}
+STENCIL = 9
+SHRINK = 4.0
+STEP_MIN = 1e-12
+MAX_STEPS = 500
 
 # low-lying eigenstates tracked by parity sector, indexed by their
 # position in the non-interacting spectrum
@@ -169,11 +171,9 @@ def overlap_objective(psi: SymmetricState, c):
     (N > 650 at D = 3) building the grids raises FloatingPointError rather
     than let F become 0/0.
 
-    The map takes one point, shape (2,), and returns a float, or a batch,
-    shape (m, 2), and returns F at each row.  A batch is grouped by pivot,
-    and each group goes through the same products as one point, on (rows,
-    K + 1) power tables.  One point picks its pivot on Python floats, so a
-    Nelder-Mead step costs little more than its four small products.
+    The map takes a batch, shape (m, 2), and returns F at each row, or one
+    point, shape (2,), and returns a float.  The rows are grouped by pivot,
+    and each group takes four products with (rows, K + 1) power tables.
     """
     basis = psi.basis
     if basis.D != 3:
@@ -203,35 +203,49 @@ def overlap_objective(psi: SymmetricState, c):
 
     ones = np.ones(size)
 
-    def on_grid(p, r_a, r_b):
-        # F on pivot p's grid pair, at one ratio pair or at (m, 1) columns;
-        # "@ ones" sums the last axis of either shape
-        _, _, G, M = grids[p]
-        t_a = r_a**powers
-        t_b = r_b**powers
-        num = (t_a @ G * t_b) @ ones
-        return abs(num) ** 2 / (((t_a * t_a) @ M * (t_b * t_b)) @ ones)
-
     def fidelity_at(x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            x1, x2 = x.tolist()
-            u = (1.0, x1 * x1, x2 * x2)
-            p = u.index(max(u))
-            a, b, _, _ = grids[p]
-            return min(on_grid(p, u[a] / u[p], u[b] / u[p]), 1.0)
+            return float(fidelity_at(x[None])[0])
         u = np.ones((len(x), 3))
         u[:, 1:] = x * x
-        pivot = u.argmax(axis=1)  # the first largest, as u.index(max(u))
+        pivot = u.argmax(axis=1)
         F = np.empty(len(x))
         for p in set(pivot.tolist()):
             rows = pivot == p
-            a, b, _, _ = grids[p]
+            a, b, G, M = grids[p]
             r = u[rows] / u[rows, p, None]
-            F[rows] = on_grid(p, r[:, a, None], r[:, b, None])
+            t_a = r[:, a, None] ** powers
+            t_b = r[:, b, None] ** powers
+            num = (t_a @ G * t_b) @ ones
+            F[rows] = abs(num) ** 2 / (((t_a * t_a) @ M * (t_b * t_b)) @ ones)
         return np.minimum(F, 1.0)
 
     return fidelity_at
+
+
+def minimize(fun, x0) -> SimpleNamespace:
+    """Compass search for a minimum of fun, a map from points (m, 2) to values (m,).
+
+    Each step calls fun once, on a STENCIL x STENCIL grid of half-width h
+    around x, and moves x to the grid's lowest value (the first on a tie)
+    if it beats the centre's.  h starts at the scan spacing, is kept while
+    the move ends on the grid's edge and otherwise shrinks SHRINK-fold,
+    until h < STEP_MIN; success is False if MAX_STEPS calls ran out first.
+    """
+    axis = np.linspace(-1.0, 1.0, STENCIL)
+    stencil = np.column_stack((np.repeat(axis, STENCIL), np.tile(axis, STENCIL)))
+    on_edge = np.abs(stencil).max(axis=1) == 1.0
+    centre = len(stencil) // 2
+    x, h, nfev = np.asarray(x0, dtype=float), GRID_MAX / (SCAN_POINTS - 1), 0
+    while h >= STEP_MIN and nfev < MAX_STEPS:
+        values = fun(x + h * stencil)
+        nfev += 1
+        best = centre if values.min() >= values[centre] else int(values.argmin())
+        x, f = x + h * stencil[best], float(values[best])
+        if not on_edge[best]:
+            h /= SHRINK
+    return SimpleNamespace(x=x, fun=f, nfev=nfev, success=h < STEP_MIN)
 
 
 def maximize_overlap(
@@ -245,45 +259,26 @@ def maximize_overlap(
     form of `overlap_objective`, built once per search, so no amplitude
     vector is built.  The search evaluates F in one batch on a fixed
     SCAN_POINTS x SCAN_POINTS grid over [0, GRID_MAX]^2, then polishes with
-    Nelder-Mead from the grid's best point (the first in lex order on a tie)
-    and from each extra start (e.g. the critical point), so the result is
-    deterministic.  The objective has mirror-image maxima at all sign
+    the deterministic compass search of `minimize` from the grid's best
+    point (the first in lex order on a tie) and from each extra start (e.g.
+    the critical point).  The objective has mirror-image maxima at all sign
     flips; coordinates are reported in the non-negative quadrant.
 
-    Returns (z_max, F_max).  Raises if every start fails to converge.
+    Returns (z_max, F_max).
     """
     fidelity_at = overlap_objective(psi, c)
-
-    def neg_fidelity(x):
-        return -fidelity_at(x)
-
     axis = np.linspace(0.0, GRID_MAX, SCAN_POINTS)
-    scan = np.column_stack(
-        (np.repeat(axis, SCAN_POINTS), np.tile(axis, SCAN_POINTS))
-    )
+    scan = np.column_stack((np.repeat(axis, SCAN_POINTS), np.tile(axis, SCAN_POINTS)))
     starts = [scan[np.argmax(fidelity_at(scan))]]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
 
     best_x, best_f = None, np.inf
-    failures = 0
     for x0 in starts:
-        res = minimize(neg_fidelity, x0=x0, method="Nelder-Mead", options=NELDER_MEAD)
-        if not res.success:
-            failures += 1
-            if not np.isfinite(res.fun):
-                continue
+        res = minimize(lambda x: -fidelity_at(x), x0)
         x = np.abs(res.x)
         # deterministic tie-break: smaller fidelity loss, then lex order on z
         if res.fun < best_f - 1e-12 or (
-            abs(res.fun - best_f) <= 1e-12
-            and best_x is not None
-            and tuple(x) < tuple(best_x)
+            abs(res.fun - best_f) <= 1e-12 and tuple(x) < tuple(best_x)
         ):
             best_x, best_f = x, res.fun
-    if best_x is None:
-        raise RuntimeError(f"all {failures} starts failed to converge")
-    if failures:
-        warnings.warn(
-            f"{failures} of {len(starts)} starts did not converge", stacklevel=2
-        )
     return best_x, -best_f

@@ -1,6 +1,9 @@
 import argparse
 import csv
 import io
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stdout
 from dataclasses import fields, replace
@@ -40,6 +43,27 @@ def read_csv(path):
     assert lines[0].startswith("# quditcat=")
     rows = list(csv.DictReader(lines[1:]))
     return lines[0], rows
+
+
+def test_import_leaves_out_the_unused_scipy_subpackages():
+    # start-up loads only the scipy the sector eigensolve needs, and hump
+    # counting loads none
+    src = str(Path(quditcat.lmg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import quditcat.cli\n"
+        "import quditcat\n"
+        "quditcat.husimi.count_map_humps(np.outer(np.hanning(65), np.hanning(65)))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(out.stdout.split())
+    assert "scipy.sparse.linalg" in loaded
+    assert not loaded & {"scipy.optimize", "scipy.special", "scipy.ndimage"}
 
 
 def test_spectrum_command(tmp_path):

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditcat.fock
 from quditcat.fock import (
     CapacityError,
     FockBasis,
     exact_multinomial,
+    log_factorial,
     log_multinomial,
     shared_basis,
 )
@@ -142,6 +145,38 @@ def test_log_multinomial_vs_exact(n):
     expected = math.log(exact_multinomial(n))
     got = float(log_multinomial(n))
     assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_log_factorial_table_is_lgamma_bitwise_after_growth(monkeypatch):
+    # start from the 3-entry table, so the lookups below grow it twice
+    start = np.array([math.lgamma(k + 1) for k in range(3)])
+    monkeypatch.setattr(quditcat.fock, "_log_factorials", start)
+    small = log_factorial([0, 1, 2, 5])
+    k = np.arange(3001)
+    table = log_factorial(k)
+    assert len(quditcat.fock._log_factorials) >= 3001
+    want = np.array([math.lgamma(int(v) + 1) for v in k])
+    assert np.array_equal(table, want)
+    assert np.array_equal(small, want[[0, 1, 2, 5]])
+    assert log_factorial(7) == math.lgamma(8)
+
+
+def test_log_factorial_matches_40_digit_mpmath():
+    k = np.arange(0, 3001, 7)
+    got = log_factorial(k)
+    with mpmath.workdps(40):
+        want = [mpmath.loggamma(int(v) + 1) for v in k]
+    for v, g, w in zip(k, got, want):
+        assert abs(g - w) <= 5e-16 * abs(w), v
+
+
+def test_log_multinomial_matches_exact_at_n300():
+    basis = shared_basis(3, 300)
+    idx = np.arange(0, basis.size, 97)
+    logs = log_multinomial(basis.states[idx])
+    for n, got in zip(basis.states[idx], logs):
+        expected = math.log(exact_multinomial(n))
+        assert abs(got - expected) <= 1e-13 * max(1.0, expected), n.tolist()
 
 
 def test_vectorized_log_multinomial():

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import quditcat.husimi
 from quditcat.coherent import SymmetricState, dscs, dscs_coefficients
@@ -429,6 +430,31 @@ def test_importance_requires_centers(basis_3_10):
     state = dscs(basis_3_10, [0.1, 0.1])
     with pytest.raises(ValueError):
         moment_mc(state, 2, IntegrationSpec("importance_mc", 10_000, 1, 5_000))
+
+
+def test_logsumexp_matches_scipy():
+    # entries near +-700, where exp alone overflows or underflows, -inf
+    # entries, and an all -inf row; any warning fails the test
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-5.0, 5.0, (6, 40))
+    a[0] += 700.0
+    a[1] -= 700.0
+    a[2, ::3] = -np.inf
+    a[3] = -np.inf
+    a[4, 0] = 709.0
+    a[5] = np.linspace(-745.0, 709.0, 40)
+    got = quditcat.husimi._logsumexp(a, axis=1)
+    want = logsumexp(a, axis=1)
+    assert got.shape == (6,)
+    assert got[3] == -np.inf
+    finite = np.isfinite(want)
+    assert np.array_equal(finite, np.isfinite(got))
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-15, atol=0)
+    for rows in (a, a[[3]], a[2]):
+        want = logsumexp(rows)
+        got = quditcat.husimi._logsumexp(rows)
+        assert np.ndim(got) == 0
+        assert got == want or abs(got - want) <= 1e-15 * abs(want)
 
 
 def _counted_kernel(monkeypatch) -> list:

@@ -12,7 +12,7 @@ from quditcat.fock import shared_basis
 from quditcat.lmg import LMGParams, build_hamiltonian, diagonalize
 from quditcat.parity import CatSpec, all_parity_labels, dcat
 from quditcat.variational import (
-    NELDER_MEAD,
+    MAX_STEPS,
     TRACKED_STATES,
     critical_point,
     energy_surface,
@@ -20,6 +20,7 @@ from quditcat.variational import (
     finite_N_energy,
     gs_energy_limit,
     maximize_overlap,
+    minimize as compass_search,
     overlap_objective,
     variational_cat,
 )
@@ -246,8 +247,8 @@ def test_maximize_overlap_tracks_critical_point_at_extremes():
 
 def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
     # the sector of c is checked and resolved when the search starts; neither
-    # the scan nor a Nelder-Mead step repeats it, however many steps the
-    # polish takes
+    # the scan nor a compass step repeats it, however many steps the polish
+    # takes
     calls = {"_as_bits": 0, "sector_mask": 0}
     for name in calls:
         original = getattr(quditcat.parity, name)
@@ -277,7 +278,7 @@ def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
             calls[name] = 0
         maximize_overlap(target, (0, 0), extra_starts=extra)
         per_search.append(dict(calls))
-    # the extra starts add Nelder-Mead steps to the polish
+    # the extra starts add compass steps to the polish
     assert steps[1] > steps[0] > 0
     assert per_search[0] == per_search[1]
     assert 1 <= per_search[0]["sector_mask"] <= 2
@@ -285,7 +286,7 @@ def test_maximize_overlap_resolves_the_sector_once_per_search(monkeypatch):
 
 def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_20):
     # the G/M grids are built when the search starts, and neither the scan
-    # nor a Nelder-Mead step builds a cat
+    # nor a compass step builds a cat
     builds = []
     real_objective = quditcat.variational.overlap_objective
 
@@ -313,13 +314,18 @@ def test_maximize_overlap_builds_its_grids_once_per_search(monkeypatch, basis_3_
         builds.clear()
         maximize_overlap(target, (1, 1), extra_starts=extra)
         assert builds == [1]
-    # the extra starts add Nelder-Mead steps to the polish
+    # the extra starts add compass steps to the polish
     assert steps[1] > steps[0] > 0
 
 
+# the Nelder-Mead options of the search before the compass polish
+NELDER_MEAD = {"xatol": 1e-8, "fatol": 1e-12, "maxiter": 2000}
+
+
 def grid_start_search(psi, c, extra_starts):
-    """The overlap search before the batched scan: Nelder-Mead from each of
-    the 5 x 5 starts on [0, 1.2]^2 and each extra start, same tie-break."""
+    """The overlap search before the batched scan: scipy's Nelder-Mead from
+    each of the 5 x 5 starts on [0, 1.2]^2 and each extra start, same
+    tie-break."""
     objective = overlap_objective(psi, c)
     axis = np.linspace(0.0, 1.2, 5)
     starts = [np.array([a, b]) for a in axis for b in axis]
@@ -412,8 +418,8 @@ def test_overlap_objective_raises_past_the_double_range():
 @pytest.mark.parametrize("lam_index, x0", [(9, (1.2, 0.0)), (10, (0.9, 0.0))])
 def test_slow_overlap_starts_converge_to_the_search_best(lam_index, x0):
     # criterion 8c's grid, state 5, sector (1, 1) at N = 20: from these two
-    # starts the simplex is still moving after 500 iterations and converges
-    # at about 670 and 780
+    # starts scipy's simplex needed about 780 and 670 iterations; the
+    # compass search reaches the search's best F from them
     lam = float(np.geomspace(0.01, 20.0, 20)[lam_index])
     basis = shared_basis(3, 20)
     spec = diagonalize(build_hamiltonian(LMGParams(3, 20, 1.0, lam), basis), basis, k=1)
@@ -421,8 +427,21 @@ def test_slow_overlap_starts_converge_to_the_search_best(lam_index, x0):
     cp = critical_point(1.0, lam)
     _, f_best = maximize_overlap(target, (1, 1), extra_starts=[(cp.z1, cp.z2)])
     objective = overlap_objective(target, (1, 1))
-    res = minimize(
-        lambda x: -objective(x), x0=np.array(x0), method="Nelder-Mead", options=NELDER_MEAD
-    )
-    assert res.success and res.nit > 500
+    res = compass_search(lambda x: -objective(x), np.array(x0))
+    assert res.success and res.nfev < MAX_STEPS
     assert abs(-res.fun - f_best) < 1e-10
+
+
+def test_compass_search_stops_on_a_maximum_at_infinity():
+    # F of the Fock state (0, N, 0) rises for ever along x1, so the search
+    # moves one step edge after edge until MAX_STEPS runs out, and still
+    # ends above where it started
+    basis = shared_basis(3, 20)
+    psi = SymmetricState(basis, np.eye(1, basis.size, basis.rank([0, 20, 0]))[0])
+    objective = overlap_objective(psi, (0, 0))
+    x0 = np.array([1.2, 0.0])
+    res = compass_search(lambda x: -objective(x), x0)
+    assert not res.success and res.nfev == MAX_STEPS
+    assert res.x[0] > 10.0 and -res.fun > objective(x0)
+    z_max, f_max = maximize_overlap(psi, (0, 0))
+    assert np.array_equal(z_max, res.x) and f_max == -res.fun
