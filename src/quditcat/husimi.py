@@ -9,16 +9,20 @@ entropy, minimized by coherent states.
 
 All of them rest on one fact: <z|psi> is a degree-N polynomial in the
 coherent-state coordinates, sum_n sqrt(N!/prod n_i!) psi_n conj(u)^n at
-the unit homogeneous vector u = (1, z)/|(1, z)|.  `husimi_values`, the
-only Q kernel, evaluates it with the largest coordinate of u factored
-out, so every remaining power has modulus at most 1 and no term
-overflows at N in the hundreds or far from the origin; every map, hump
-count and Monte-Carlo estimate goes through it.  Moments of integer
-order are computed exactly from the same amplitudes: their nu-th power,
-paired with the monomial norms at particle number N*nu, yields the
-moment without any quadrature.  Monte-Carlo backends (uniform Haar
-sampling and importance sampling from coherent-branch mixtures) cover
-the Wehrl integral, which has no closed form at finite N.
+the unit homogeneous vector u = (1, z)/|(1, z)|.  `husimi_values`
+evaluates it with the largest coordinate of u factored out, so every
+remaining power has modulus at most 1 and no term overflows at N in the
+hundreds or far from the origin; every Monte-Carlo estimate and single
+point goes through it.  On a real slice of phase space the polynomial is
+a bilinear form in the power tables of the two axes, so `husimi_grid`
+evaluates a whole map, and the hump count on it, as one matrix product,
+and passes its nodes to `husimi_values` only where those unpivoted powers
+could overflow.  Moments of integer order are computed exactly from the
+same amplitudes: their nu-th power, paired with the monomial norms at
+particle number N*nu, yields the moment without any quadrature.
+Monte-Carlo backends (uniform Haar sampling and importance sampling from
+coherent-branch mixtures) cover the Wehrl integral, which has no closed
+form at finite N.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ DEFAULT_MOMENT_CAP = 10_000_000
 # sample-axis chunk of husimi_values, counted in complex elements of its
 # per-sample temporaries (power tables and first mode product): 64 MB
 _CHUNK_ELEMENTS = 4_000_000
+
+# a Husimi map is one tensor product while dim max(1, max|axis|)^N, the
+# largest entry its unpivoted power tables can sum to, is below 2^1021:
+# then nothing overflows, and a prefactor below the smallest normal double
+# costs at most 2^-53 of the amplitude (notes/decisions.md)
+_TENSOR_LOG_BOUND = 1021 * math.log(2.0)
 
 # Monte-Carlo batches are evaluated in blocks of whole consecutive batches
 # of at most this many of those elements (4 MB), one kernel call per block
@@ -88,8 +98,12 @@ class HusimiGridSpec:
     def __post_init__(self):
         if self.points < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if self.half_range <= 0:
-            raise ValueError("half_range must be positive")
+        if not self.half_range > 0:  # nan included
+            raise ValueError(f"half_range must be positive, not {self.half_range!r}")
+        # inf, or a half_range near the largest double, overflows the spacing
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.axis())):
+                raise ValueError(f"half_range {self.half_range!r} gives a non-finite grid axis")
         if self.slice not in ("position", "momentum"):
             raise ValueError(f"unknown slice {self.slice!r}")
 
@@ -528,16 +542,49 @@ def husimi_grid(
     the D-1 axes) holding the real slice coordinates, and q the Husimi
     value there.  The position slice evaluates Q at z = x (real), the
     momentum slice at z = i p.
+
+    On the slice the amplitude is (1+|z|^2)^(-N/2) e^s times the bilinear
+    form T W T^T (T W at D = 2), where W holds the pivot-0 weights of
+    `husimi_values` on the (n_1, n_2) grid and T[i, n] = conj(a_i)^n is
+    the power table of the axis values a = x or i p: one matrix product
+    per map, with the prefactor and the clamp at 1 of `husimi_values`.
+    The sum of the moduli of its terms reaches dim max(1, max|a|)^N;
+    where that passes `_TENSOR_LOG_BOUND` the nodes go through
+    `husimi_values` instead, pivot by pivot (notes/decisions.md).
     """
-    n_axes = state.basis.D - 1
+    basis = state.basis
+    n_axes = basis.D - 1
     if n_axes > 2:
         raise ValueError("grid slices are supported for D = 2 and D = 3 only")
     axis = spec.axis()
     grids = np.meshgrid(*([axis] * n_axes), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=1)
-    zs = pts.astype(complex) if spec.slice == "position" else 1j * pts
-    q = husimi_values(state, zs)
-    return pts, q
+    top = float(np.max(np.abs(axis)))
+    if basis.N * math.log(max(1.0, top)) + math.log(basis.size) >= _TENSOR_LOG_BOUND:
+        zs = pts.astype(complex) if spec.slice == "position" else 1j * pts
+        return pts, husimi_values(state, zs)
+    return pts, _tensor_husimi(state, axis, spec.slice == "momentum").ravel()
+
+
+def _tensor_husimi(state: SymmetricState, axis: np.ndarray, momentum: bool) -> np.ndarray:
+    """Q on the tensor grid of z = `axis` values, or i `axis` if `momentum`."""
+    basis = state.basis
+    N = basis.N
+    n = np.arange(N + 1)
+    sq = axis**2
+    with np.errstate(under="ignore", over="raise"):
+        table = axis[:, None] ** n
+        if momentum:
+            # conj(i p)^n = (-i)^n p^n, the phases exact
+            table = table * np.array([1.0, -1.0j, -1.0, 1.0j])[n % 4]
+        weights, scale = _amplitude_weights(state)
+        grid = _weight_grid(basis, weights, 0)
+        if basis.D == 2:
+            poly, r2 = table @ grid, sq
+        else:
+            poly, r2 = table @ grid @ table.T, np.add.outer(sq, sq)
+        amp = np.exp(N * (-0.5 * np.log1p(r2)) + scale) * poly
+    return np.minimum(amp.real**2 + amp.imag**2, 1.0)
 
 
 def count_humps(state: SymmetricState, spec: HusimiGridSpec) -> int:

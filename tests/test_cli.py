@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditcat.cli
 import quditcat.husimi
 import quditcat.lmg
 from quditcat import __version__
@@ -132,9 +133,15 @@ def test_pool_output_matches_serial(tmp_path, args):
          "particle list"),
         (["spectrum", "--N", "8", "--lambda-values", ","], "at least one point"),
         (["spectrum", "--N", "8,12", "--lambda-values", "1.0"], "--N"),
+        *(
+            (["husimi", "--N", "4", "--parity", "00", "--grid-points", "64",
+              "--lambda-values", "1.0", "--grid-half-range", half_range], "half_range")
+            for half_range in ("nan", "inf", "1e308")
+        ),
     ],
     ids=["levels-0", "levels-above-dim", "workers-0", "nan-coupling",
-         "empty-particle-list", "empty-coupling-list", "particle-list-for-one-N"],
+         "empty-particle-list", "empty-coupling-list", "particle-list-for-one-N",
+         "nan-half-range", "inf-half-range", "half-range-overflows-axis"],
 )
 def test_bad_settings_are_config_errors(tmp_path, capsys, args, named):
     assert run_cli(args, tmp_path / "x.csv") == EXIT_CONFIG
@@ -145,18 +152,20 @@ def test_bad_settings_are_config_errors(tmp_path, capsys, args, named):
 @pytest.mark.parametrize("grid_slice, per_map", [("position", 1), ("momentum", 2)])
 def test_husimi_map_evaluated_once(tmp_path, monkeypatch, grid_slice, per_map):
     calls = []
-    values = quditcat.husimi.husimi_values
+    grid = quditcat.husimi.husimi_grid
 
-    def counted(state, zs):
-        calls.append(len(zs))
-        return values(state, zs)
+    def counted(state, spec):
+        calls.append(spec.slice)
+        return grid(state, spec)
 
-    monkeypatch.setattr(quditcat.husimi, "husimi_values", counted)
+    # the CLI's own name for the map, and the module global count_humps uses
+    monkeypatch.setattr(quditcat.cli, "husimi_grid", counted)
+    monkeypatch.setattr(quditcat.husimi, "husimi_grid", counted)
     args = ["husimi", "--N", "8", "--lambda-values", "0.3,2.5", "--parity", "00",
             "--grid-points", "64", "--grid-slice", grid_slice]
     assert run_cli(args, tmp_path / "h.csv") == 0
     # the momentum slice still evaluates the position grid to count humps
-    assert calls == [64 * 64] * (2 * per_map)
+    assert sorted(calls) == sorted([grid_slice, "position"][:per_map] * 2)
 
 
 def format_value(value) -> str:

@@ -647,6 +647,82 @@ def test_grid_row_count_and_range(basis_3_10, rng):
     assert np.all(q >= 0.0) and np.all(q <= 1.0)
 
 
+def fock_space_husimi(state, zs) -> np.ndarray:
+    """|conj(dscs_coefficients) . psi|^2, a few points at a time."""
+    return np.concatenate([
+        np.abs(dscs_coefficients(state.basis, zs[k : k + 4]).conj() @ state.coeffs) ** 2
+        for k in range(0, len(zs), 4)
+    ])
+
+
+def slice_points(pts, spec) -> np.ndarray:
+    return pts.astype(complex) if spec.slice == "position" else 1j * pts
+
+
+@pytest.mark.parametrize(
+    "D, N", [(2, 20), (2, 300), (2, 1000), (3, 20), (3, 300), (3, 1000)]
+)
+def test_husimi_grid_matches_the_kernel_and_the_fock_space_oracle(monkeypatch, D, N):
+    # a map is one tensor product while N ln max(1, half_range) + ln dim is
+    # below the bound; of these grids only N = 1000 at half_range 3 is past it,
+    # and there the nodes go through husimi_values unchanged
+    rng = np.random.default_rng(100 * D + N)
+    basis = shared_basis(D, N)
+    cat = dcat(basis, CatSpec([0.6, 0.4 + 0.3j][: D - 1], (1, 0)[: D - 1], N))
+    states = [random_state(rng, basis), cat]
+    points = 33 if D == 2 else (9 if N < 1000 else 5)  # odd: the axis holds 0
+    calls = _counted_kernel(monkeypatch)
+    for half_range, grid_slice, state in itertools.product(
+        (1.5, 3.0), ("position", "momentum"), states
+    ):
+        spec = HusimiGridSpec(points, half_range, grid_slice)
+        calls.clear()
+        pts, q = husimi_grid(state, spec)
+        zs = slice_points(pts, spec)
+        pointwise = husimi_values(state, zs)
+        if (N, half_range) == (1000, 3.0):
+            # the kernel itself, which the oracle test above covers
+            assert calls == [len(zs)]
+            assert np.array_equal(q, pointwise)
+            continue
+        assert calls == []
+        assert np.max(np.abs(q - pointwise)) <= 1e-13
+        assert np.max(np.abs(q - fock_space_husimi(state, zs))) <= 1e-13
+
+
+def test_husimi_grid_past_the_bound_is_the_kernel_bit_for_bit(monkeypatch):
+    # 300 ln 20 + ln 45451 = 909 > 1021 ln 2
+    basis = shared_basis(3, 300)
+    cat = dcat(basis, CatSpec([0.6, 0.5], (0, 1), 300))
+    calls = _counted_kernel(monkeypatch)
+    for grid_slice in ("position", "momentum"):
+        spec = HusimiGridSpec(16, 20.0, grid_slice)
+        pts, q = husimi_grid(cat, spec)
+        assert calls == [16 * 16]
+        assert np.array_equal(q, husimi_values(cat, slice_points(pts, spec)))
+        calls.clear()
+
+
+@pytest.mark.parametrize("half_range, tensor", [(10.3, True), (10.45, False)])
+def test_husimi_grid_is_exact_on_both_sides_of_the_bound(monkeypatch, half_range, tensor):
+    # at D = 2, N = 300 the bound 1021 ln 2 falls at half_range 10.38; a
+    # coherent state peaked on the far node puts Q = 1 where the tensor
+    # product's power table and prefactor are furthest from 1
+    basis = shared_basis(2, 300)
+    spec = HusimiGridSpec(9, half_range)
+    far = np.array([-half_range])
+    coeffs = dscs(basis, far).coeffs
+    coherent = SymmetricState(basis, coeffs / np.linalg.norm(coeffs))  # Q <= 1 exactly
+    calls = _counted_kernel(monkeypatch)
+    for state in (coherent, random_state(np.random.default_rng(3), basis)):
+        calls.clear()
+        pts, q = husimi_grid(state, spec)
+        assert len(calls) == (0 if tensor else 1)
+        assert np.max(np.abs(q - husimi_values(state, slice_points(pts, spec)))) <= 1e-13
+        if state is coherent:
+            assert abs(q[0] - mpmath_husimi(state, far)) <= 1e-13
+
+
 def test_grid_parity_symmetry(basis_3_20):
     cat = dcat(basis_3_20, CatSpec([0.6, 0.4], (1, 0), 20))
     spec = HusimiGridSpec(points=32, half_range=1.2)
