@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""IPR and Wehrl entropy of ground and tracked excited states vs coupling.
+"""IPR and Wehrl entropy of the (0,0) ground state vs coupling.
 
-Runs both the variational cats and the numerically diagonalized states
-for N = 20 and 50, using importance-sampled Monte-Carlo for the Wehrl
-integral.  This is the slowest sweep; trim --lambda-steps or --samples
-for a quick look.
+Runs both the variational (0,0) cat and the lowest numerical state of the
+(0,0) parity sector, for N = 20 and 50, using importance-sampled
+Monte-Carlo for the Wehrl integral.  A --parity list such as
+00,10,01,11 adds the other sectors' lowest states, the tracked excited
+states.  This is the slowest sweep; trim --lambda-steps or --samples for
+a quick look.
 """
 
 import sys

@@ -393,11 +393,12 @@ def cmd_localization(cfg: ExperimentConfig) -> None:
         basis = shared_basis(3, N)
         params = LMGParams(3, N, 1.0, lam)
         centers = branch_centers(3, lam) if cfg.method == "importance_mc" else None
-        spec = diagonalize(build_hamiltonian(params, basis), basis, k=1)
+        H = build_hamiltonian(params, basis)
+        ground = diagonalize(H, basis, k=1, sector=label).ground_states[label]
         out = []
         for kind, state in (
             ("variational", variational_cat(lam, label, params, basis)),
-            ("numerical", spec.ground_states[label]),
+            ("numerical", ground),
         ):
             m2 = moment_analytic(state, 2)
             sw, sw_err = wehrl_entropy(

@@ -12,7 +12,9 @@ coherent-state coordinates, sum_n sqrt(N!/prod n_i!) psi_n conj(u)^n at
 the unit homogeneous vector u = (1, z)/|(1, z)|.  `husimi_values`
 evaluates it with the largest coordinate of u factored out, so every
 remaining power has modulus at most 1 and no term overflows at N in the
-hundreds or far from the origin; every Monte-Carlo estimate and single
+hundreds or far from the origin, and on the half-excess grid n = c' + 2k
+of each parity class c' the state holds, a quarter of the full grid at
+D = 3 for a parity-pure state; every Monte-Carlo estimate and single
 point goes through it.  On a real slice of phase space the polynomial is
 a bilinear form in the power tables of the two axes, so `husimi_grid`
 evaluates a whole map, and the hump count on it, as one matrix product,
@@ -119,18 +121,26 @@ def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
     u = (1, z)/|(1, z)|.  Each sample factors out its largest coordinate
     u_p, leaving conj(u_p)^N P_p(conj r) with ratios r_k = u_k/u_p of
     modulus at most 1, so no power overflows however far z lies from the
-    origin.  P_p is contracted mode by mode against power tables of the
-    ratios on the grid of w_n indexed by the non-pivot occupations; at
-    D = 3 that is (T_a @ G_p) dotted row-wise with T_b.  The weights are
-    scaled by e^(-s), s = max_n ln|w_n|, and the prefactor is applied as
-    exp(N ln|u_p| + s).  A batch is evaluated in chunks of `_chunk_rows`
-    samples, each exactly as a call on that chunk alone would be.
+    origin.  Every non-pivot occupation is n_j = c'_j + 2 k_j with parity
+    c'_j, so P_p is a sum over the parity classes c' present in psi of
+    r^c' times a polynomial in r^2 on the half-excess grid k, of side
+    N // 2 + 1 (`_sector_grids`); a parity-pure state has one class.  The
+    class grids are stacked and contracted mode by mode against one table
+    of the powers of r^2: at D = 3 one product with T_b, then a row-wise
+    dot with T_a.  The weights are scaled by e^(-s), s = max_n ln|w_n|,
+    and the prefactor is applied as exp(N ln|u_p| + s).  A batch is
+    evaluated in chunks of `_chunk_rows` samples, each exactly as a call
+    on that chunk alone would be.
 
-    The error contract is absolute: about 1e-15 against the Fock-space sum
-    |conj(dscs_coefficients) . psi|^2, and not small relative to Q near
-    the zeros of Q (notes/decisions.md).  The prefactor stays finite while
-    (N/2) ln D < 709, for every N <= 1292 at D = 3; past that a state can
-    make it overflow, which raises FloatingPointError.
+    The error contract is absolute: within 1e-13 of the Fock-space sum
+    |conj(dscs_coefficients) . psi|^2 for N up to 500, about 1e-15 at
+    modest N, and not small relative to Q near the zeros of Q
+    (notes/decisions.md).  Past N = 500 the rounding of the weights' log
+    multinomials, which grow to N ln D, costs more: a few 1e-13 at
+    N = 1000.  That limit is apart from the range of the prefactor, which
+    stays finite while (N/2) ln D < 709, for every N <= 1292 at D = 3;
+    past that a state can make it overflow, which raises
+    FloatingPointError.
     """
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim == 1:
@@ -147,22 +157,23 @@ def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
     # and there it must fail rather than clamp Q to 1
     with np.errstate(under="ignore", over="raise"):
         weights, scale = _amplitude_weights(state)
-        grids = {
-            p: _weight_grid(basis, weights, p).reshape(N + 1, -1)
-            for p in np.unique(pivots)
-        }
+        grids = {p: _sector_grids(basis, weights, p) for p in np.unique(pivots)}
         for start in range(0, zs.shape[0], chunk):
-            for p, grid in grids.items():
+            for p, (classes, grid) in grids.items():
                 rows = start + np.nonzero(pivots[start : start + chunk] == p)[0]
                 if rows.size:
-                    out[rows] = _pivot_husimi(hom[rows], p, grid, scale, N)
+                    out[rows] = _pivot_husimi(hom[rows], p, classes, grid, scale, N)
     return np.minimum(out, 1.0)
 
 
 def _chunk_rows(basis: FockBasis, elements: int) -> int:
-    """Samples of husimi_values whose temporaries fit in `elements`: the
-    D - 1 power tables and the first mode product of one sample hold
-    (D-1)(N+1) + (N+1)^(D-2) complex values.  At least one sample."""
+    """Samples of husimi_values whose temporaries fit in `elements`, counted
+    as (D-1)(N+1) + (N+1)^(D-2) complex values per sample.  The
+    temporaries are the D - 1 tables of r^2, (D-1)K values with
+    K = N//2 + 1, and the stacked first mode product, S K^(D-2) values for
+    S parity classes.  At D = 3 that is 3K for a parity-pure state, about
+    half the count, and at most 6K, within 3 of it; at D = 4 a state with
+    all 8 classes takes up to twice the count.  At least one sample."""
     per_sample = (basis.D - 1) * (basis.N + 1) + (basis.N + 1) ** (basis.D - 2)
     return max(1, elements // per_sample)
 
@@ -195,21 +206,57 @@ def _weight_grid(basis: FockBasis, weights: np.ndarray, p: int) -> np.ndarray:
     return grid
 
 
+def _sector_grids(
+    basis: FockBasis, weights: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights split by the parity classes of the levels other than p.
+
+    Each occupation of such a level is c'_j + 2 k_j.  Returns the classes
+    c' that hold a non-zero weight, shape (S, D-1), and their weights on
+    the k grid, shape (S, K, ..., K) with K = N // 2 + 1.  A parity-pure
+    state has one class for every pivot.
+    """
+    D, K = basis.D, basis.N // 2 + 1
+    # each state's class c' and k, both flattened with the first level highest
+    code = np.zeros(basis.size, dtype=np.int64)
+    k = np.zeros(basis.size, dtype=np.int64)
+    for j in range(D):
+        if j != p:
+            n = basis.states[:, j]
+            code = 2 * code + (n & 1)
+            k = K * k + (n >> 1)
+    stacked = np.zeros((2 ** (D - 1), K ** (D - 1)), dtype=complex)
+    stacked[code, k] = weights
+    present = np.flatnonzero(stacked.any(axis=1))
+    classes = (present[:, None] >> np.arange(D - 2, -1, -1)) & 1
+    return classes, stacked[present].reshape((-1,) + (K,) * (D - 1))
+
+
 def _pivot_husimi(
-    hom: np.ndarray, p: int, grid: np.ndarray, scale: float, N: int
+    hom: np.ndarray, p: int, classes: np.ndarray, grids: np.ndarray, scale: float, N: int
 ) -> np.ndarray:
     """Q at homogeneous points hom (rows) whose largest coordinate is p."""
     m = hom.shape[0]
+    K = grids.shape[1]
     ratios = (np.delete(hom, p, axis=1) / hom[:, p : p + 1]).conj()
     log_up = -0.5 * np.log1p(np.sum(np.abs(ratios) ** 2, axis=1))
-    tables = np.empty((ratios.shape[1], m, N + 1), dtype=complex)
-    tables[:, :, 0] = 1.0
-    tables[:, :, 1:] = ratios.T[:, :, None]
-    np.cumprod(tables, axis=2, out=tables)
-    poly = tables[0] @ grid
-    for table in tables[1:]:
-        poly = np.einsum("mk,mkr->mr", table, poly.reshape(m, N + 1, -1))
-    amp = np.exp(N * log_up + scale) * poly[:, 0]
+    # tables[k, j] = r_j^(2k), a running product over k
+    sq = (ratios * ratios).T
+    tables = np.empty((K, ratios.shape[1], m), dtype=complex)
+    tables[0] = 1.0
+    for k in range(1, K):
+        np.multiply(tables[k - 1], sq, out=tables[k])
+    # every class's grid in one product with the last mode's table, then
+    # row-wise dots with the earlier modes' tables
+    poly = grids.reshape(-1, K) @ tables[:, -1]
+    for j in range(ratios.shape[1] - 2, -1, -1):
+        poly = np.einsum("akm,km->am", poly.reshape(-1, K, m), tables[:, j])
+    total = 0.0
+    for bits, part in zip(classes, poly):
+        for j in np.flatnonzero(bits):
+            part = part * ratios[:, j]
+        total = total + part
+    amp = np.exp(N * log_up + scale) * total
     return amp.real**2 + amp.imag**2
 
 
@@ -271,21 +318,30 @@ def sample_dscs_husimi(
     complex normal and s ~ Gamma(N+1); a unitary Moebius map then recenters
     the cloud on any other w.
     """
+    return _dscs_sampler(w, N)(rng, size)
+
+
+def _dscs_sampler(w, N: int):
+    """sample_dscs_husimi at the center w as a function of (rng, size),
+    with the branch unitary of w computed once."""
     w = np.asarray(w, dtype=complex)
     D = w.shape[0] + 1
+    U = _branch_unitary(w) if np.any(w) else None
 
-    def centred(n):
-        # homogeneous points (1, v/sqrt(s)) of the cloud at w = 0
-        s = rng.gamma(N + 1.0, 1.0, n)
-        v = _complex_normal(rng, (n, D - 1))
-        return np.concatenate(
-            [np.ones((n, 1), dtype=complex), v / np.sqrt(s)[:, None]], axis=1
-        )
+    def sample(rng: np.random.Generator, size: int) -> np.ndarray:
+        def centred(n):
+            # homogeneous points (1, v/sqrt(s)) of the cloud at w = 0
+            s = rng.gamma(N + 1.0, 1.0, n)
+            v = _complex_normal(rng, (n, D - 1))
+            return np.concatenate(
+                [np.ones((n, 1), dtype=complex), v / np.sqrt(s)[:, None]], axis=1
+            )
 
-    if not np.any(w):
-        return centred(size)[:, 1:]
-    U = _branch_unitary(w)
-    return _affine_points(lambda n: centred(n) @ U.T, size)
+        if U is None:
+            return centred(size)[:, 1:]
+        return _affine_points(lambda n: centred(n) @ U.T, size)
+
+    return sample
 
 
 def _log_branch_husimi(zs: np.ndarray, centers: np.ndarray, N: int) -> np.ndarray:
@@ -339,6 +395,7 @@ def phase_space_expectation(
         if centers is None or len(centers) == 0:
             raise ValueError("importance_mc requires at least one branch center")
         centers = np.asarray(centers, dtype=complex).reshape(-1, basis.D - 1)
+        samplers = [_dscs_sampler(w, basis.N) for w in centers]
 
     n_batches = max(2, -(-spec.samples // spec.batch))
     sizes = [len(part) for part in np.array_split(np.arange(spec.samples), n_batches)]
@@ -350,12 +407,10 @@ def phase_space_expectation(
             return haar_sample(basis.D, rng, n_b)
         which = rng.integers(0, centers.shape[0], n_b)
         zs = np.empty((n_b, basis.D - 1), dtype=complex)
-        for idx in range(centers.shape[0]):
+        for idx, sample in enumerate(samplers):
             mask = which == idx
             if np.any(mask):
-                zs[mask] = sample_dscs_husimi(
-                    centers[idx], basis.N, rng, int(mask.sum())
-                )
+                zs[mask] = sample(rng, int(mask.sum()))
         return zs
 
     def weighted(zs):

@@ -32,7 +32,7 @@ from scipy.sparse.linalg import ArpackError, eigsh, splu
 
 from .coherent import SymmetricState, spin_matrix
 from .fock import FockBasis
-from .parity import all_parity_labels
+from .parity import all_parity_labels, sector_indices
 
 RESIDUAL_TOL = 1e-10
 # levels closer than TIE_ULPS * eps * scale are equal to solver accuracy
@@ -176,7 +176,10 @@ def _lowest_levels(
 
 
 def diagonalize(
-    H: sparse.sparray | np.ndarray, basis: FockBasis, k: int | None = None
+    H: sparse.sparray | np.ndarray,
+    basis: FockBasis,
+    k: int | None = None,
+    sector=None,
 ) -> SpectrumResult:
     """Lowest k eigenpairs (all when k is None), solved per parity sector.
 
@@ -188,6 +191,11 @@ def diagonalize(
     instead, so repeated runs give identical labels even for numerically
     degenerate states.  Each sector's lowest eigenstate is also kept in
     `ground_states`.
+
+    With a parity label `sector`, only that sector's block is solved, and
+    the result holds its levels alone.  The solve is the one the full call
+    makes for that block, so its states are the same bit for bit.  A
+    malformed label, or one whose sector is empty, raises ValueError.
     """
     dim = H.shape[0]
     if H.shape != (dim, dim) or dim != basis.size:
@@ -206,11 +214,15 @@ def diagonalize(
 
     labels = all_parity_labels(basis.D)
     codes = basis.sector_codes
+    if sector is None:
+        blocks = [np.nonzero(codes == code)[0] for code in range(len(labels))]
+    else:
+        blocks = [sector_indices(basis, sector)]
     energies, sectors, columns, ground_states = [], [], [], {}
-    for code in range(2 ** (basis.D - 1)):
-        idx = np.nonzero(codes == code)[0]
+    for idx in blocks:
         if idx.size == 0:
             continue
+        code = codes[idx[0]]
         block = H[idx][:, idx]
         vals, vecs = _lowest_levels(block, min(k, idx.size), scale)
         residual = np.linalg.norm(block @ vecs - vecs * vals[None, :], axis=0)

@@ -189,6 +189,48 @@ def test_husimi_values_match_mpmath_sum():
         assert abs(husimi_value(state, z) - mpmath_husimi(state, z)) <= 1e-13
 
 
+def pivot_points(rng, D, per_pivot):
+    """Phase points whose largest homogeneous coordinate (1, z) is each
+    level in turn: |z_k| < 1 for pivot 0, |z_{p-1}| largest for pivot p."""
+    blocks = []
+    for p in range(D):
+        mags = rng.uniform(0.05, 0.95, (per_pivot, D - 1))
+        if p:
+            mags *= 2.0
+            mags[:, p - 1] = rng.uniform(2.0, 40.0, per_pivot)
+        blocks.append(mags * np.exp(2j * np.pi * rng.random((per_pivot, D - 1))))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("D, N", [(2, 7), (2, 8), (3, 9), (3, 10), (3, 41), (3, 300)])
+def test_sector_layout_matches_the_fock_space_sum_for_every_class_mix(D, N):
+    # husimi_values splits the weights by the parity classes of the
+    # non-pivot occupations: every class present, one, two, real and complex
+    rng = np.random.default_rng(7 * D + N)
+    basis = shared_basis(D, N)
+    zs = pivot_points(rng, D, 6)
+    hom = np.concatenate([np.ones((len(zs), 1)), np.abs(zs)], axis=1)
+    assert set(np.argmax(hom, axis=1).tolist()) == set(range(D))
+    codes = basis.sector_codes
+    full = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    vectors = [full, full.real]
+    for code in range(2 ** (D - 1)):
+        vectors.append(np.where(codes == code, full, 0.0))
+        vectors.append(np.where((codes == code) | (codes == 0), full.imag, 0.0))
+    for v in vectors:
+        state = SymmetricState(basis, v / np.linalg.norm(v))
+        q = husimi_values(state, zs)
+        assert np.max(np.abs(q - fock_space_husimi(state, zs))) <= 1e-13
+
+
+def test_parity_pure_cat_far_from_the_origin_matches_mpmath():
+    basis = shared_basis(3, 300)
+    z = np.array([3.0 * np.exp(0.3j), -2.5])
+    cat = dcat(basis, CatSpec(z, (0, 1), 300))
+    for point in (z, z * np.array([1.0, 1.02])):
+        assert abs(husimi_value(cat, point) - mpmath_husimi(cat, point)) <= 1e-13
+
+
 # -------------------------------------------------------------- haar sampling
 
 

@@ -203,6 +203,8 @@ def test_nan_eigenpair_fails_the_residual_check(monkeypatch):
     H = build_hamiltonian(LMGParams(3, 8, 1.0, 1.0), basis)
     with pytest.raises(DiagonalizationError, match="residual"):
         diagonalize(H, basis, k=2)
+    with pytest.raises(DiagonalizationError, match="residual"):
+        diagonalize(H, basis, k=1, sector=(1, 0))
 
 
 def _sector_blocks(H, basis):
@@ -334,6 +336,32 @@ def test_nan_lanczos_eigenpair_fails_the_residual_check(monkeypatch):
     H = build_hamiltonian(LMGParams(3, 60, 1.0, 1.0), basis)
     with pytest.raises(DiagonalizationError, match="residual"):
         diagonalize(H, basis, k=2)
+
+
+@pytest.mark.parametrize("N, dense", [(20, True), (50, False)])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_one_sector_solve_is_the_full_solve_bit_for_bit(monkeypatch, N, dense, lam):
+    # one coupling per phase; every block is dense at N = 20 and Lanczos at 50
+    basis = shared_basis(3, N)
+    H = build_hamiltonian(LMGParams(3, N, 1.0, lam), basis)
+    full = diagonalize(H, basis, k=1)
+    dense_sizes = _spy_on_dense_solves(monkeypatch)
+    for label in all_parity_labels(3):
+        one = diagonalize(H, basis, k=1, sector=label)
+        assert list(one.ground_states) == one.parities == [label]
+        state = one.ground_states[label]
+        assert np.array_equal(state.coeffs, full.ground_states[label].coeffs)
+        assert abs(one.eigenvalues[0] - np.vdot(state.coeffs, H @ state.coeffs)) < 1e-12
+    assert len(dense_sizes) == (4 if dense else 0)
+
+
+def test_one_sector_solve_rejects_a_bad_or_empty_sector():
+    basis = shared_basis(4, 2)
+    H = sparse.diags_array(np.arange(basis.size, dtype=float))
+    with pytest.raises(ValueError, match="excitations"):
+        diagonalize(H, basis, k=1, sector=(1, 1, 1))
+    with pytest.raises(ValueError, match="bits"):
+        diagonalize(H, basis, k=1, sector=(1, 1))
 
 
 @pytest.mark.parametrize("lam", [1.0, 2.5])
