@@ -13,6 +13,7 @@ exact big-integer multinomial is kept around as a test oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property, lru_cache
 
@@ -35,15 +36,25 @@ def basis_size(D: int, N: int) -> int:
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All compositions of `total` into `parts` parts, descending lex order."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for head in range(total, -1, -1):
-        tail = _compositions(total - head, parts - 1)
-        head_col = np.full((tail.shape[0], 1), head, dtype=np.int64)
-        blocks.append(np.hstack([head_col, tail]))
-    return np.vstack(blocks)
+    """All compositions of `total` into `parts` parts, descending lex order.
+
+    Stars and bars: a composition is a choice of parts - 1 bar positions
+    among total + parts - 1 slots, and n_i is the number of stars between
+    bars i - 1 and i.  `itertools.combinations` lists the bar positions in
+    ascending lex order, which is ascending lex order of the compositions,
+    so the rows are read back reversed.
+    """
+    slots = total + parts - 1
+    bars = np.fromiter(
+        itertools.combinations(range(slots), parts - 1),
+        dtype=np.dtype((np.int64, (parts - 1,))),
+        count=math.comb(slots, parts - 1),
+    )
+    edges = np.empty((bars.shape[0], parts + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:-1] = bars[::-1]
+    edges[:, -1] = slots
+    return np.diff(edges, axis=1) - 1
 
 
 class FockBasis:

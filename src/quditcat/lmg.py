@@ -11,8 +11,9 @@ H is assembled as a sparse matrix and each sector block is solved on its
 own, so every eigenstate carries its sector label by construction, and
 each sector's lowest state comes straight from its own solve.  Small
 blocks, and requests for nearly a whole block, use dense eigh; larger
-blocks use shift-invert Lanczos (ARPACK), checked by a sparse inertia
-count that a missed or duplicated level cannot pass.  Levels are
+blocks use Lanczos (ARPACK) for their smallest algebraic eigenvalues,
+which needs only products with the sparse block, checked by a sparse
+inertia count that a missed or duplicated level cannot pass.  Levels are
 merged in energy order; only levels that tie within the solver's accuracy
 are ordered by label, which keeps exactly degenerate clusters
 deterministic.
@@ -151,26 +152,42 @@ def _lowest_levels(
     """Lowest k eigenpairs of one sector block, in ascending order.
 
     A block larger than DENSE_BLOCK_MAX, asked for fewer than all but one
-    of its levels, goes to shift-invert Lanczos.  The shift -scale - 1 lies
-    below the whole spectrum, so block - sigma I is positive definite.  A
-    single start vector cannot see a second copy of a level that is
-    degenerate inside the block, and the residual check cannot catch a
-    missed level, so the result stands only if exactly k eigenvalues lie
-    below the highest one found (plus the residual bound).  Otherwise, or
-    when ARPACK fails, the block is solved with dense eigh.
+    of its levels, goes to Lanczos for the smallest algebraic eigenvalues,
+    which needs only products with the block.  A single start vector
+    cannot see a second copy of a level that is degenerate inside the
+    block, and the residual check cannot catch a missed level, so the
+    result stands only if exactly k eigenvalues lie below the highest one
+    found (plus the residual bound).  When more lie there, the top cluster
+    of found levels, those within twice the bound of the highest, may have
+    been cut at k; the result then stands if the count below that cluster
+    equals the number of levels found below it.  Otherwise, or when ARPACK
+    fails, the block is solved with dense eigh.
     """
     n = block.shape[0]
     if n > DENSE_BLOCK_MAX and k < n - 1:
         # a fixed start vector makes reruns bit-identical
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            vals, vecs = eigsh(block, k, sigma=-scale - 1.0, which="LM", v0=v0)
+            vals, vecs = eigsh(block, k, which="SA", v0=v0)
         except ArpackError:
             pass
         else:
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
-            if _count_below(block, vals[-1] + RESIDUAL_TOL * scale) == k:
+            margin = RESIDUAL_TOL * scale
+            above = _count_below(block, vals[-1] + margin)
+            if above == k:
+                return vals, vecs
+            # the top cluster starts at j; the levels found below it must
+            # lie clear of its lower edge, or the second count proves nothing
+            j = int(np.searchsorted(vals, vals[-1] - 2.0 * margin))
+            clear = j == 0 or vals[j - 1] < vals[j] - 2.0 * margin
+            if (
+                above is not None
+                and above > k
+                and clear
+                and _count_below(block, vals[j] - margin) == j
+            ):
                 return vals, vecs
     return scipy.linalg.eigh(block.toarray(), subset_by_index=(0, k - 1))
 
@@ -184,13 +201,12 @@ def diagonalize(
     """Lowest k eigenpairs (all when k is None), solved per parity sector.
 
     Each sector block of H is solved on its own (`_lowest_levels`: dense
-    eigh for small blocks, shift-invert Lanczos checked by an inertia
-    count for large ones) and embedded back into the full basis, so labels
-    are exact.  Levels come back in ascending energy; levels within
-    TIE_ULPS * eps * scale of each other are ordered by parity label
-    instead, so repeated runs give identical labels even for numerically
-    degenerate states.  Each sector's lowest eigenstate is also kept in
-    `ground_states`.
+    eigh for small blocks, Lanczos checked by an inertia count for large
+    ones) and embedded back into the full basis, so labels are exact.
+    Levels come back in ascending energy; levels within TIE_ULPS * eps *
+    scale of each other are ordered by parity label instead, so repeated
+    runs give identical labels even for numerically degenerate states.
+    Each sector's lowest eigenstate is also kept in `ground_states`.
 
     With a parity label `sector`, only that sector's block is solved, and
     the result holds its levels alone.  The solve is the one the full call

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -100,6 +101,19 @@ def test_batched_rank_rejects_an_invalid_row_like_the_scalar_call():
     with pytest.raises(ValueError) as batched:
         basis.rank(np.zeros((3, 2), dtype=int))
     assert str(batched.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("D, N", [(D, N) for D in range(2, 6) for N in (0, 1, 2, 5, 9)])
+def test_enumeration_matches_brute_force_compositions(D, N):
+    # every occupation vector with the right total, in descending lex order
+    want = sorted(
+        (n for n in itertools.product(range(N + 1), repeat=D) if sum(n) == N),
+        reverse=True,
+    )
+    basis = FockBasis(D, N)
+    assert basis.states.tolist() == [list(n) for n in want]
+    assert len({tuple(n) for n in basis.states.tolist()}) == basis.size
+    assert np.array_equal(basis.rank(basis.states), np.arange(basis.size))
 
 
 def test_size_matches_binomial_full_grid():

@@ -16,6 +16,7 @@ from quditcat.coherent import SymmetricState
 from quditcat.fock import shared_basis
 from quditcat.lmg import (
     DENSE_BLOCK_MAX,
+    RESIDUAL_TOL,
     TIE_ULPS,
     DiagonalizationError,
     LMGParams,
@@ -364,21 +365,83 @@ def test_one_sector_solve_rejects_a_bad_or_empty_sector():
         diagonalize(H, basis, k=1, sector=(1, 1))
 
 
+def test_cut_cluster_rule_needs_the_levels_below_it_clear_of_the_cluster(
+    monkeypatch,
+):
+    # a solve that misses the lowest level and returns one level within a
+    # margin of the top cluster's lower edge passes the count below that
+    # edge; it must still give way to dense eigh
+    n, scale = 400, 400.0
+    margin = RESIDUAL_TOL * scale
+    found = 2.0 + margin * np.array([-2.4, -1.9, 0.0])
+    diag = np.r_[1.0, found, np.arange(3.0, n - 1)]
+
+    def missing_the_lowest(block, k, **kwargs):
+        return diag[1 : k + 1], np.eye(n)[:, 1 : k + 1]
+
+    monkeypatch.setattr(quditcat.lmg, "eigsh", missing_the_lowest)
+    vals, _ = quditcat.lmg._lowest_levels(sparse.diags_array(diag).tocsr(), 3, scale)
+    assert np.allclose(vals, np.r_[1.0, found[:2]], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("lam", [1.0, 2.5])
-def test_large_n_sector_ground_energies_match_plain_lanczos(lam):
-    # unshifted Lanczos needs no factorization and no inertia count, so it
-    # shares no solver path with diagonalize
+def test_large_n_sector_ground_energies_match_shift_invert_lanczos(lam):
+    # shift-invert Lanczos below the whole spectrum iterates with LU solves,
+    # not with products by the block, so it shares no solver path with
+    # diagonalize
     basis = shared_basis(3, 200)
     params = LMGParams(3, 200, 1.0, lam)
     H = build_hamiltonian(params, basis)
     spec = diagonalize(H, basis, k=1)
+    scale = max(float(np.abs(H).sum(axis=1).max()), 1.0)
     for label, _, block in _sector_blocks(H, basis):
-        ref = eigsh(block, 1, which="SA", tol=0, return_eigenvectors=False)[0]
+        ref = eigsh(
+            block, 1, sigma=-scale - 1.0, which="LM", tol=0,
+            return_eigenvectors=False,
+        )[0]
         state = spec.ground_states[label]
         energy = np.vdot(state.coeffs, H @ state.coeffs).real
         assert abs(energy - ref) < 1e-10
     cp = critical_point(1.0, lam)
     assert spec.eigenvalues[0] <= finite_N_energy([cp.z1, cp.z2], params)
+
+
+def test_large_blocks_use_plain_lanczos_with_one_inertia_count(monkeypatch):
+    # every block at N = 60 is above the dense bound; a shift-invert solve
+    # would pass sigma and factor the block once more
+    basis = shared_basis(3, 60)
+    H = build_hamiltonian(LMGParams(3, 60, 1.0, 1.0), basis)
+    eigsh_kwargs, splu_sizes = [], []
+    real_eigsh, real_splu = quditcat.lmg.eigsh, quditcat.lmg.splu
+
+    def eigsh_spy(*args, **kwargs):
+        eigsh_kwargs.append(kwargs)
+        return real_eigsh(*args, **kwargs)
+
+    def splu_spy(a, *args, **kwargs):
+        splu_sizes.append(a.shape[0])
+        return real_splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(quditcat.lmg, "eigsh", eigsh_spy)
+    monkeypatch.setattr(quditcat.lmg, "splu", splu_spy)
+    diagonalize(H, basis, k=4)
+    sizes = [idx.size for _, idx, _ in _sector_blocks(H, basis)]
+    assert min(sizes) > DENSE_BLOCK_MAX
+    assert len(eigsh_kwargs) == len(sizes)
+    assert all("sigma" not in kwargs for kwargs in eigsh_kwargs)
+    assert splu_sizes == sizes
+
+
+def test_degenerate_cluster_cut_at_k_keeps_the_lanczos_solve(monkeypatch):
+    # at lam = 0 and k = 8 the top cluster of every block is cut at k, so
+    # the count above it exceeds k; the count below it accepts the solve
+    basis = shared_basis(3, 100)
+    H = build_hamiltonian(LMGParams(3, 100, 1.0, 0.0), basis)
+    dense_sizes = _spy_on_dense_solves(monkeypatch)
+    spec = diagonalize(H, basis, k=8)
+    assert dense_sizes == []
+    monkeypatch.undo()
+    _assert_matches_dense_sector_levels(spec, H, basis, 8)
 
 
 def test_cross_sector_doublets_below_the_tie_threshold_come_in_label_order():
