@@ -9,7 +9,9 @@ Subcommands reproduce the standard sweep experiments as CSV tables:
     selftest      run the structural invariant suite
 
 Settings come from an INI-style config file (flat key = value entries in
-sections) and every command-line flag overrides its config key.  Output
+sections) and every command-line flag overrides its config key.  Each
+setting is one row of `SETTINGS`, which the flags are generated from, and
+a flag's text goes through the same parser as its key's.  Output
 CSVs are deterministic for a fixed (config, seed) pair and carry a
 metadata comment line with the package version, a digest of the settings
 the command reads, and the seed.
@@ -34,6 +36,8 @@ from . import __version__
 from .coherent import NormError
 from .fock import CapacityError, shared_basis
 from .husimi import (
+    GRID_SLICES,
+    INTEGRATION_METHODS,
     HusimiGridSpec,
     IntegrationSpec,
     count_humps,
@@ -64,6 +68,10 @@ class ConfigError(Exception):
     pass
 
 
+# the coupling grid spacings `ExperimentConfig.lam_grid` knows
+LAMBDA_SCALES = ("linear", "log")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
@@ -75,15 +83,15 @@ class ExperimentConfig:
     lam_scale: str = "linear"
     lam_values: tuple[float, ...] | None = None
     parities: tuple[tuple[int, ...], ...] | None = None
-    method: str = "haar_mc"
-    samples: int = 1_000_000
-    batch: int = 200_000
+    method: str = IntegrationSpec.method
+    samples: int = IntegrationSpec.samples
+    batch: int = IntegrationSpec.batch
     seed: int | None = None
     workers: int = 1
     levels: int = 6
-    grid_points: int = 128
-    grid_half_range: float = 1.5
-    grid_slice: str = "position"
+    grid_points: int = HusimiGridSpec.points
+    grid_half_range: float = HusimiGridSpec.half_range
+    grid_slice: str = HusimiGridSpec.slice
     out: str = "-"
 
     def lam_grid(self) -> np.ndarray:
@@ -134,6 +142,13 @@ SETTINGS_READ = {
 }
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, not {text!r}")
+    return value
+
+
 def _particle_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -161,27 +176,42 @@ def _parity_list(text: str) -> tuple[tuple[int, ...], ...] | None:
     return tuple(out)
 
 
-# config key -> (ExperimentConfig field, parser of the key's text); each key
-# is also the dest of the command-line flag that overrides it
+def _choice(field: str, allowed: tuple[str, ...], doc: str):
+    """The row of a setting whose text must be one of `allowed`, which its help lists."""
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, not {text!r}")
+        return text
+
+    return field, parse, f"{doc}: {', '.join(allowed)}"
+
+
+# config key -> (ExperimentConfig field, parser of the key's or the flag's
+# text, help); each key is also the dest of the flag that overrides it,
+# --D and --N for d and n and --key-with-dashes for the rest
 SETTINGS = {
-    "d": ("D", int),
-    "n": ("N", _particle_list),
-    "lambda_min": ("lam_min", float),
-    "lambda_max": ("lam_max", float),
-    "lambda_steps": ("lam_steps", int),
-    "lambda_scale": ("lam_scale", str),
-    "lambda_values": ("lam_values", _coupling_list),
-    "parity": ("parities", _parity_list),
-    "method": ("method", str),
-    "samples": ("samples", int),
-    "batch": ("batch", int),
-    "seed": ("seed", int),
-    "workers": ("workers", int),
-    "levels": ("levels", int),
-    "grid_points": ("grid_points", int),
-    "grid_half_range": ("grid_half_range", float),
-    "grid_slice": ("grid_slice", str),
-    "out": ("out", str),
+    "d": ("D", int, "number of levels"),
+    "n": ("N", _particle_list, "particle number (a comma list for localization)"),
+    "lambda_min": ("lam_min", float, "smallest coupling of the grid"),
+    "lambda_max": ("lam_max", float, "largest coupling of the grid"),
+    "lambda_steps": ("lam_steps", int, "number of couplings on the grid"),
+    "lambda_scale": _choice("lam_scale", LAMBDA_SCALES, "spacing of the grid"),
+    "lambda_values": (
+        "lam_values", _coupling_list, "comma list of couplings (overrides min/max/steps)"
+    ),
+    "parity": ("parities", _parity_list, "comma list of parity bit strings"),
+    "method": _choice(
+        "method", INTEGRATION_METHODS, "Wehrl integral by uniform (Haar) or importance sampling"
+    ),
+    "samples": ("samples", int, "Monte-Carlo samples per integral"),
+    "batch": ("batch", int, "samples per jackknife batch, each from its own seeded stream"),
+    "seed": ("seed", _non_negative, "Monte-Carlo seed"),
+    "workers": ("workers", int, "sweep worker threads"),
+    "levels": ("levels", int, "levels written per coupling by spectrum"),
+    "grid_points": ("grid_points", int, "Husimi grid points per axis"),
+    "grid_half_range": ("grid_half_range", float, "Husimi grid half-width"),
+    "grid_slice": _choice("grid_slice", GRID_SLICES, "phase-space slice of the Husimi map"),
+    "out": ("out", str, "output CSV path ('-' for stdout)"),
 }
 
 
@@ -212,15 +242,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = vars(args)
     given.update((key, flags[key]) for key in SETTINGS if flags[key] is not None)
     fields = {}
-    for key, value in given.items():
-        field, parse = SETTINGS[key]
-        # file values and untyped flags are text; argparse parsed the typed flags
-        if isinstance(value, str):
-            try:
-                value = parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {value!r}") from exc
-        fields[field] = value
+    for key, text in given.items():
+        field, parse, _ = SETTINGS[key]
+        try:
+            fields[field] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key.replace('_', '-')}: {exc}") from exc
     cfg = ExperimentConfig(command=args.command, **fields)
     if cfg.D < 2:
         raise ConfigError("need at least two levels")
@@ -422,45 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
         "and the multi-level LMG model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "fidelity", "husimi", "localization", "selftest"):
+    for name in (*COMMANDS, "selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override its keys")
-        p.add_argument("--out", help="output CSV path ('-' for stdout)")
-        p.add_argument("--seed", type=int, help="Monte-Carlo seed")
-        p.add_argument("--workers", type=int, help="sweep worker threads (default 1)")
-        p.add_argument(
-            "--N", dest="n", help="particle number (a comma list for localization)"
-        )
-        p.add_argument("--D", dest="d", type=int, help="number of levels")
-        p.add_argument("--lambda-min", dest="lambda_min", type=float)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float)
-        p.add_argument("--lambda-steps", dest="lambda_steps", type=int)
-        p.add_argument("--lambda-scale", dest="lambda_scale", choices=["linear", "log"])
-        p.add_argument(
-            "--lambda-values",
-            dest="lambda_values",
-            help="explicit comma list of couplings (overrides min/max/steps)",
-        )
-        p.add_argument("--parity", help="comma list of parity bit strings")
-        p.add_argument("--levels", type=int, help="levels written per coupling by spectrum")
-        p.add_argument(
-            "--method",
-            choices=["haar_mc", "importance_mc"],
-            help="Wehrl integral by uniform (Haar) sampling or importance "
-            "sampling from the cat's coherent branches (default haar_mc)",
-        )
-        p.add_argument(
-            "--samples", type=int, help="Monte-Carlo samples per integral (default 1000000)"
-        )
-        p.add_argument(
-            "--batch",
-            type=int,
-            help="samples per jackknife batch, each drawn from its own seeded "
-            "stream (default 200000)",
-        )
-        p.add_argument("--grid-points", dest="grid_points", type=int)
-        p.add_argument("--grid-half-range", dest="grid_half_range", type=float)
-        p.add_argument("--grid-slice", dest="grid_slice", choices=["position", "momentum"])
+        for key, (field, _, doc) in SETTINGS.items():
+            default = getattr(ExperimentConfig, field)
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            if default is not None:
+                doc += f" (default {default})"
+            flag = key.upper() if len(key) == 1 else key.replace("_", "-")
+            p.add_argument(f"--{flag}", dest=key, help=doc)
     return parser
 
 

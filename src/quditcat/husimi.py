@@ -55,6 +55,10 @@ _TENSOR_LOG_BOUND = 1021 * math.log(2.0)
 # of at most this many of those elements (4 MB), one kernel call per block
 _BLOCK_ELEMENTS = 250_000
 
+# the values IntegrationSpec.method and HusimiGridSpec.slice accept
+INTEGRATION_METHODS = ("haar_mc", "importance_mc")
+GRID_SLICES = ("position", "momentum")
+
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -72,7 +76,7 @@ class IntegrationSpec:
     batch: int = 200_000
 
     def __post_init__(self):
-        if self.method not in ("haar_mc", "importance_mc"):
+        if self.method not in INTEGRATION_METHODS:
             raise ValueError(f"unknown integration method {self.method!r}")
         if self.samples < 1_000:
             raise ValueError("need at least 1000 samples")
@@ -106,7 +110,7 @@ class HusimiGridSpec:
         with np.errstate(over="ignore", invalid="ignore"):
             if not np.all(np.isfinite(self.axis())):
                 raise ValueError(f"half_range {self.half_range!r} gives a non-finite grid axis")
-        if self.slice not in ("position", "momentum"):
+        if self.slice not in GRID_SLICES:
             raise ValueError(f"unknown slice {self.slice!r}")
 
     def axis(self) -> np.ndarray:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -558,14 +559,49 @@ def test_default_section_keys_are_read(tmp_path):
 def test_flags_config_keys_and_fields_cover_each_other():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"}
     for command, p in sub.choices.items():
-        dests = [a.dest for a in p._actions if a.dest not in ("help", "config")]
+        flags = [a for a in p._actions if a.dest not in ("help", "config")]
         # every flag has exactly one config key, and every key has a flag
-        assert sorted(dests) == sorted(SETTINGS), command
+        assert sorted(a.dest for a in flags) == sorted(SETTINGS), command
+        # each flag's help names the ExperimentConfig default, where there is
+        # one, as text that the setting's parser reads back as that default
+        for action in flags:
+            field, parse, help_text = SETTINGS[action.dest]
+            assert "default" not in help_text, action.dest
+            named = re.search(r" \(default (.*)\)$", action.help)
+            if defaults[field] is None:
+                assert named is None, action.dest
+            else:
+                assert parse(named.group(1)) == defaults[field], action.dest
     # and every key has exactly one field, and every field but command a key
-    names = sorted(field for field, _ in SETTINGS.values())
-    declared = [f.name for f in fields(ExperimentConfig) if f.name != "command"]
-    assert names == sorted(declared)
+    names = sorted(field for field, _, _ in SETTINGS.values())
+    assert names == sorted(defaults)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("method", "foo"),
+        ("grid-slice", "sideways"),
+        ("lambda-scale", "cubic"),
+        ("levels", "2.5"),
+        ("seed", "-1"),
+    ],
+)
+@pytest.mark.parametrize("given_by", ["flag", "file"])
+def test_bad_value_fails_alike_from_flag_and_file(tmp_path, capsys, key, value, given_by):
+    args = ["spectrum", "--N", "8", "--lambda-values", "1.0"]
+    if given_by == "flag":
+        args += [f"--{key}", value]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"[common]\n{key} = {value}\n")
+        args += ["--config", str(path)]
+    out = tmp_path / "s.csv"
+    assert run_cli(args, out) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: bad value for {key}")
+    assert not out.exists()
 
 
 def test_stdout_output():

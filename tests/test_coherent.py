@@ -42,6 +42,14 @@ def test_dscs_unit_norm(z):
     assert abs(state.norm() - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("N, z", [(300, -10.45), (1000, -1.9)])
+def test_dscs_unit_norm_far_from_the_origin(N, z):
+    # the raw log-space coefficients drift from norm 1 by 1.8e-13 and
+    # -5.5e-13 here; the state is renormalized
+    coeffs = dscs(shared_basis(2, N), [z]).coeffs
+    assert abs(np.vdot(coeffs, coeffs).real - 1.0) <= 4 * np.finfo(float).eps
+
+
 def test_overlap_self_is_one():
     z = np.array([0.7 + 0.2j, -0.4j])
     assert abs(overlap(z, z, 37) - 1.0) < 1e-12
