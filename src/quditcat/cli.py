@@ -29,6 +29,7 @@ import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -266,6 +267,9 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"--workers must be at least 1, got {cfg.workers}")
     if cfg.command in ("localization",) and cfg.seed is None:
         raise ConfigError(f"command {cfg.command!r} uses Monte-Carlo; --seed is required")
+    # checked before the sweep, which would otherwise run only to fail at the end
+    if cfg.out != "-" and not Path(cfg.out).parent.is_dir():
+        raise ConfigError(f"cannot write {cfg.out}: its directory does not exist")
     return cfg
 
 
@@ -306,7 +310,11 @@ def _write_csv(cfg: ExperimentConfig, header: list[str], columns) -> None:
     if cfg.out == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.out, "w") as fh:
+        try:
+            fh = open(cfg.out, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
+        with fh:
             fh.write(text)
 
 
@@ -449,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and the multi-level LMG model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*COMMANDS, "selftest"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI config file; flags override its keys")
         for key, (field, _, doc) in SETTINGS.items():
@@ -460,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
                 doc += f" (default {default})"
             flag = key.upper() if len(key) == 1 else key.replace("_", "-")
             p.add_argument(f"--{flag}", dest=key, help=doc)
+    # the suite reads no setting, so it takes none
+    sub.add_parser("selftest")
     return parser
 
 

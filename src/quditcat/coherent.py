@@ -92,12 +92,8 @@ class SymmetricState:
         return complex(np.vdot(self.coeffs, other.coeffs))
 
 
-def log_dscs_coefficients(basis: FockBasis, z) -> tuple[np.ndarray, np.ndarray]:
-    """Log-modulus and phase of the DSCS Fock coefficients.
-
-    z may be a single phase point (D-1,) or a batch (m, D-1).
-    Returns (logmag, phase) with trailing axis of length basis.size.
-    """
+def dscs_coefficients(basis: FockBasis, z) -> np.ndarray:
+    """DSCS Fock coefficients c_n(z); batched when z has shape (m, D-1)."""
     z = np.asarray(z, dtype=complex)
     single = z.ndim == 1
     zb = z[None, :] if single else z
@@ -108,7 +104,6 @@ def log_dscs_coefficients(basis: FockBasis, z) -> tuple[np.ndarray, np.ndarray]:
     mag = np.abs(zb)
     with np.errstate(divide="ignore"):
         logmag_z = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), _LOG_ZERO)
-    phase_z = np.angle(zb)
     log_norm = 0.5 * basis.N * np.log1p(np.sum(mag * mag, axis=1))
 
     logmag = (
@@ -116,16 +111,8 @@ def log_dscs_coefficients(basis: FockBasis, z) -> tuple[np.ndarray, np.ndarray]:
         + logmag_z @ occ1.T
         - log_norm[:, None]
     )
-    phase = phase_z @ occ1.T
-    if single:
-        return logmag[0], phase[0]
-    return logmag, phase
-
-
-def dscs_coefficients(basis: FockBasis, z) -> np.ndarray:
-    """DSCS Fock coefficients c_n(z); batched when z has shape (m, D-1)."""
-    logmag, phase = log_dscs_coefficients(basis, z)
-    return np.exp(logmag + 1j * phase)
+    coeffs = np.exp(logmag + 1j * (np.angle(zb) @ occ1.T))
+    return coeffs[0] if single else coeffs
 
 
 def dscs(basis: FockBasis, z) -> SymmetricState:

@@ -51,8 +51,8 @@ _CHUNK_ELEMENTS = 4_000_000
 # costs at most 2^-53 of the amplitude (notes/decisions.md)
 _TENSOR_LOG_BOUND = 1021 * math.log(2.0)
 
-# Monte-Carlo batches are evaluated in blocks of whole consecutive batches
-# of at most this many of those elements (4 MB), one kernel call per block
+# Monte-Carlo batches are evaluated in runs of whole consecutive batches of
+# about this many of those elements (4 MB), one kernel call per run
 _BLOCK_ELEMENTS = 250_000
 
 # the values IntegrationSpec.method and HusimiGridSpec.slice accept
@@ -67,7 +67,7 @@ class IntegrationSpec:
     `batch` is the number of samples per jackknife batch, each drawn from
     its own `SeedSequence` stream.  It does not set the size of a kernel
     call: `phase_space_expectation` evaluates whole consecutive batches in
-    blocks of at most `_BLOCK_ELEMENTS`, and a larger batch on its own.
+    runs of about `_BLOCK_ELEMENTS`, and a larger batch on its own.
     """
 
     method: str = "haar_mc"
@@ -203,10 +203,10 @@ def _amplitude_weights(state: SymmetricState) -> tuple[np.ndarray, float]:
     return weights, scale
 
 
-def _weight_grid(basis: FockBasis, weights: np.ndarray, p: int) -> np.ndarray:
-    """Weights laid out on the grid of the occupations of every level but p."""
+def _weight_grid(basis: FockBasis, weights: np.ndarray) -> np.ndarray:
+    """Weights laid out on the grid of the occupations of levels 1..D-1."""
     grid = np.zeros((basis.N + 1,) * (basis.D - 1), dtype=complex)
-    grid[tuple(np.delete(basis.states, p, axis=1).T)] = weights
+    grid[tuple(basis.states[:, 1:].T)] = weights
     return grid
 
 
@@ -269,15 +269,13 @@ def husimi_value(state: SymmetricState, z) -> float:
     return float(husimi_values(state, np.asarray(z, dtype=complex))[0])
 
 
-def haar_sample(D: int, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Haar-uniform points of CP^(D-1) in the z_0 = 1 patch.
+def haar_sample(D: int, rng: np.random.Generator, size: int) -> np.ndarray:
+    """`size` Haar-uniform points of CP^(D-1) in the z_0 = 1 patch.
 
-    Draws a standard complex normal D-vector c and returns c_{1:}/c_0,
+    Draws standard complex normal D-vectors c and returns c_{1:}/c_0,
     redrawing on the measure-zero event that c_0 nearly vanishes.
     """
-    m = 1 if size is None else size
-    z = _affine_points(lambda n: _complex_normal(rng, (n, D)), m)
-    return z[0] if size is None else z
+    return _affine_points(lambda n: _complex_normal(rng, (n, D)), size)
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -386,12 +384,14 @@ def phase_space_expectation(
     reweighted by the mixture density.
 
     The samples fall into jackknife batches of about `spec.batch`, each
-    drawn from its own `SeedSequence` stream.  Whole consecutive batches
-    are evaluated together, one `husimi_values` call per block of at most
-    `_BLOCK_ELEMENTS` (a larger batch is a block of its own), and each
-    batch is then summed over its own slice.  Every sample's f(Q) and
-    mixture density are independent of its block mates, so the result
-    does not depend on the block budget.
+    drawn from its own `SeedSequence` stream; their sizes differ by at
+    most one.  Whole consecutive batches are evaluated together, one
+    `husimi_values` call per run of as many batches as `_BLOCK_ELEMENTS`
+    holds of the smallest (a larger batch is a run of its own), and each
+    batch is then summed over its own slice.  Where the sizes differ, a
+    run can pass the budget by at most as many samples as it has
+    batches.  Every sample's f(Q) and mixture density are independent of
+    its run mates, so the result does not depend on the block budget.
     """
     basis = state.basis
     dim = basis.size
@@ -402,7 +402,10 @@ def phase_space_expectation(
         samplers = [_dscs_sampler(w, basis.N) for w in centers]
 
     n_batches = max(2, -(-spec.samples // spec.batch))
-    sizes = [len(part) for part in np.array_split(np.arange(spec.samples), n_batches)]
+    # the first `extra` batches hold one sample more than the rest
+    smallest, extra = divmod(spec.samples, n_batches)
+    sizes = np.full(n_batches, smallest)
+    sizes[:extra] += 1
     streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
 
     def draw(n_b, ss):
@@ -426,25 +429,16 @@ def phase_space_expectation(
         ) - np.log(centers.shape[0])
         return vals * np.exp(-log_p)
 
-    # consecutive batches of at most block_rows samples in all, or one batch
-    block_rows = _chunk_rows(basis, _BLOCK_ELEMENTS)
-    blocks, first, filled = [], 0, 0
-    for b, n_b in enumerate(sizes):
-        if b > first and filled + n_b > block_rows:
-            blocks.append(range(first, b))
-            first, filled = b, 0
-        filled += n_b
-    blocks.append(range(first, n_batches))
+    # runs of as many whole consecutive batches as the budget holds of the
+    # smallest one, at least one batch per run
+    per_run = max(1, _chunk_rows(basis, _BLOCK_ELEMENTS) // smallest)
+    sums = []
+    for first in range(0, n_batches, per_run):
+        run = slice(first, first + per_run)
+        zs = np.concatenate([draw(n_b, ss) for n_b, ss in zip(sizes[run], streams[run])])
+        sums.extend(map(np.sum, np.split(weighted(zs), np.cumsum(sizes[run])[:-1])))
 
-    sums = np.empty(n_batches)
-    for block in blocks:
-        vals = weighted(np.concatenate([draw(sizes[b], streams[b]) for b in block]))
-        stop = 0
-        for b in block:
-            start, stop = stop, stop + sizes[b]
-            sums[b] = float(np.sum(vals[start:stop]))
-
-    sizes = np.asarray(sizes, dtype=float)
+    sums = np.asarray(sums)
     total = sums.sum()
     n = sizes.sum()
     estimate = total / n
@@ -477,7 +471,7 @@ def moment_analytic(
         )
 
     p, scale = _amplitude_weights(state)
-    grid = _weight_grid(basis, p, 0)
+    grid = _weight_grid(basis, p)
     if np.all(grid.imag == 0.0):
         grid = grid.real
 
@@ -637,7 +631,7 @@ def _tensor_husimi(state: SymmetricState, axis: np.ndarray, momentum: bool) -> n
             # conj(i p)^n = (-i)^n p^n, the phases exact
             table = table * np.array([1.0, -1.0j, -1.0, 1.0j])[n % 4]
         weights, scale = _amplitude_weights(state)
-        grid = _weight_grid(basis, weights, 0)
+        grid = _weight_grid(basis, weights)
         if basis.D == 2:
             poly, r2 = table @ grid, sq
         else:

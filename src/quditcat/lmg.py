@@ -67,30 +67,23 @@ class LMGParams:
             raise ValueError("the Hamiltonian normalizes by N(N-1); need N >= 2")
 
 
-def build_hamiltonian(
-    params: LMGParams, basis: FockBasis | None = None
-) -> sparse.csr_array:
-    """Sparse real symmetric LMG Hamiltonian over the symmetric Fock basis."""
-    if basis is None:
-        basis = FockBasis(params.D, params.N)
+def build_hamiltonian(params: LMGParams, basis: FockBasis) -> sparse.csr_array:
+    """Sparse real symmetric LMG Hamiltonian over the symmetric Fock basis.
+
+    The one-body term is the diagonal (eps/N)(n_{D-1} - n_0).  Since
+    S_ji = S_ij^T, each S_ji^2 is the transpose of S_ij^2, so the pair term
+    is sum_{i<j} (h_ij + h_ij^T) with h_ij = S_ij^2.  Every entry of h_ij
+    is one product of two operator entries, and h_ij^T holds the same
+    products, so H is exactly symmetric by construction.
+    """
     if basis.D != params.D or basis.N != params.N:
         raise ValueError("basis does not match parameters")
     D, N = params.D, params.N
-
-    one_body = (spin_matrix(basis, D - 1, D - 1) - spin_matrix(basis, 0, 0)).astype(
-        float
-    )
-    pair_hop = None
-    for i in range(D):
-        for j in range(D):
-            if i == j:
-                continue
-            s_ij = spin_matrix(basis, i, j)
-            term = s_ij @ s_ij
-            pair_hop = term if pair_hop is None else pair_hop + term
-
-    H = (params.epsilon / N) * one_body - (params.lam / (N * (N - 1))) * pair_hop
-    return sparse.csr_array((H + H.T) / 2.0)
+    occ = basis.states
+    one_body = sparse.diags_array((params.epsilon / N) * (occ[:, D - 1] - occ[:, 0]))
+    hops = (spin_matrix(basis, i, j) for i in range(D) for j in range(i + 1, D))
+    pair_hop = sum(h + h.T for h in (s @ s for s in hops))
+    return sparse.csr_array(one_body - (params.lam / (N * (N - 1))) * pair_hop)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from quditcat.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
+    COMMANDS,
     SETTINGS,
     ExperimentConfig,
     _build_config,
@@ -560,8 +561,10 @@ def test_flags_config_keys_and_fields_cover_each_other():
     parser = build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.name != "command"}
-    for command, p in sub.choices.items():
-        flags = [a for a in p._actions if a.dest not in ("help", "config")]
+    # selftest reads no setting and takes no setting flag
+    assert [a.dest for a in sub.choices["selftest"]._actions] == ["help"]
+    for command in COMMANDS:
+        flags = [a for a in sub.choices[command]._actions if a.dest not in ("help", "config")]
         # every flag has exactly one config key, and every key has a flag
         assert sorted(a.dest for a in flags) == sorted(SETTINGS), command
         # each flag's help names the ExperimentConfig default, where there is
@@ -604,6 +607,22 @@ def test_bad_value_fails_alike_from_flag_and_file(tmp_path, capsys, key, value, 
     assert not out.exists()
 
 
+def test_unwritable_out_is_a_config_error_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(quditcat.cli, "diagonalize", no_solve)
+    out = tmp_path / "missing" / "s.csv"
+    args = ["spectrum", "--N", "8", "--lambda-values", "1.0", "--out"]
+    assert main(args + [str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out}: its directory does not exist\n"
+    # a path that exists but cannot be opened for writing fails when written
+    monkeypatch.undo()
+    assert main(args + [str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")
+
+
 def test_stdout_output():
     buffer = io.StringIO()
     with redirect_stdout(buffer):
@@ -628,6 +647,14 @@ def test_branch_centers_structure():
         assert centers.dtype == complex
         parts = np.concatenate([centers.real.ravel(), centers.imag.ravel()])
         assert not np.any(np.signbit(parts[parts == 0.0]))
+
+
+def test_selftest_rejects_setting_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--method", "foo", "--N", "1"])
+    # argparse's usage error, before the suite runs
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --method foo --N 1" in capsys.readouterr().err
 
 
 def test_selftest_help_runs():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import quditcat.lmg
 from quditcat.cli import EXIT_CONFIG, main
-from quditcat.coherent import SymmetricState
+from quditcat.coherent import SymmetricState, spin_matrix
 from quditcat.fock import shared_basis
 from quditcat.lmg import (
     DENSE_BLOCK_MAX,
@@ -53,6 +53,21 @@ def test_free_spectrum_d3_lowest():
     spec = diagonalize(H, basis, k=2)
     assert abs(spec.eigenvalues[0] + 1.0) < 1e-14
     assert abs(spec.eigenvalues[1] + 19 / 20) < 1e-14
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.37, 2.5])
+@pytest.mark.parametrize("D, N", [(2, 7), (3, 12), (4, 8)])
+def test_hamiltonian_matches_the_definition_over_every_ordered_pair(D, N, lam):
+    # (eps/N)(S_{D-1,D-1} - S_00) - lam/(N(N-1)) sum_{i != j} S_ij^2, from
+    # every ordered pair and then symmetrized, the same bits as the build
+    # from pair hops and their transposes
+    basis = shared_basis(D, N)
+    one_body = (spin_matrix(basis, D - 1, D - 1) - spin_matrix(basis, 0, 0)).astype(float)
+    pairs = [spin_matrix(basis, i, j) for i in range(D) for j in range(D) if i != j]
+    pair_hop = sum(s @ s for s in pairs)
+    H = (1.0 / N) * one_body - (lam / (N * (N - 1))) * pair_hop
+    expected = ((H + H.T) / 2.0).toarray()
+    assert np.array_equal(build_hamiltonian(LMGParams(D, N, 1.0, lam), basis).toarray(), expected)
 
 
 def test_hamiltonian_is_exactly_symmetric_and_real():
