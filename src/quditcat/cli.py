@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import hashlib
 import itertools
 import sys
@@ -270,6 +271,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     # checked before the sweep, which would otherwise run only to fail at the end
     if cfg.out != "-" and not Path(cfg.out).parent.is_dir():
         raise ConfigError(f"cannot write {cfg.out}: its directory does not exist")
+    if cfg.out != "-" and Path(cfg.out).is_dir():
+        raise ConfigError(f"cannot write {cfg.out}: it is a directory")
     return cfg
 
 
@@ -291,31 +294,36 @@ def _column_text(col) -> list[str]:
     return list(map(format, col.tolist() if isinstance(col, np.ndarray) else col))
 
 
-def _write_csv(cfg: ExperimentConfig, header: list[str], columns) -> None:
-    """Write the metadata line, the header and the rows of `columns`.
+def _write_csv(cfg: ExperimentConfig, header: list[str], blocks) -> None:
+    """Write the metadata line, the header and the rows of each block in turn.
 
-    Each column is an array or a sequence of scalars, numpy or Python.  A
-    float is written as its repr and any other value as its str, a numpy
-    scalar as the Python scalar it holds.  In an array of floats, ints,
-    bools or strings each distinct value (a float by its bit pattern) is
-    formatted once and its text reused for every row that holds it.
+    A block is a list of columns of equal length, each an array or a
+    sequence of scalars, numpy or Python.  A float is written as its repr
+    and any other value as its str, a numpy scalar as the Python scalar it
+    holds.  In an array of floats, ints, bools or strings each distinct
+    value of the block (a float by its bit pattern) is formatted once and
+    its text reused for every row of the block that holds it.  Each block
+    is written before the next is formatted, so only one block's text is
+    held at a time.  The file is opened here, after the sweep, so a sweep
+    that fails leaves no file.
     """
-    lines = [
+    head = (
         f"# quditcat={__version__} command={cfg.command} "
-        f"config_digest={cfg.digest()} seed={cfg.seed}",
-        ",".join(header),
-    ]
-    lines.extend(map(",".join, zip(*map(_column_text, columns))))
-    text = "\n".join(lines) + "\n"
+        f"config_digest={cfg.digest()} seed={cfg.seed}\n{','.join(header)}\n"
+    )
     if cfg.out == "-":
-        sys.stdout.write(text)
+        sink = contextlib.nullcontext(sys.stdout)
     else:
         try:
-            fh = open(cfg.out, "w")
+            sink = open(cfg.out, "w")
         except OSError as exc:
             raise ConfigError(f"cannot write {cfg.out}: {exc}") from exc
-        with fh:
-            fh.write(text)
+    with sink as fh:
+        fh.write(head)
+        for columns in blocks:
+            rows = map(",".join, zip(*map(_column_text, columns)))
+            # the empty last item ends every row, and only a row, with a newline
+            fh.write("\n".join([*rows, ""]))
 
 
 def _pool_map(fn, items, workers: int):
@@ -349,7 +357,7 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
         + [f"E{i}" for i in range(k)]
         + [f"parity{i}" for i in range(k)]
     )
-    _write_csv(cfg, header, zip(*rows))
+    _write_csv(cfg, header, [zip(*rows)])
 
 
 def cmd_fidelity(cfg: ExperimentConfig) -> None:
@@ -377,9 +385,8 @@ def cmd_fidelity(cfg: ExperimentConfig) -> None:
         return out
 
     nested = _pool_map(rows_for, list(cfg.lam_grid()), cfg.workers)
-    rows = [row for block in nested for row in block]
     header = ["lambda", "state", "parity", "F_at_critical", "F_max", "z1_max", "z2_max"]
-    _write_csv(cfg, header, zip(*rows))
+    _write_csv(cfg, header, (zip(*rows) for rows in nested))
 
 
 def cmd_husimi(cfg: ExperimentConfig) -> None:
@@ -409,7 +416,7 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
     tasks = [(lam, label) for lam in cfg.lam_grid() for label in cfg.labels]
     blocks = _pool_map(columns_for, tasks, cfg.workers)
     header = ["lambda", "parity", "x1", "x2", "Q", "humps"]
-    _write_csv(cfg, header, [np.concatenate(parts) for parts in zip(*blocks)])
+    _write_csv(cfg, header, blocks)
 
 
 def cmd_localization(cfg: ExperimentConfig) -> None:
@@ -445,9 +452,8 @@ def cmd_localization(cfg: ExperimentConfig) -> None:
         return out
 
     nested = _pool_map(rows_for, tasks, cfg.workers)
-    rows = [row for block in nested for row in block]
     header = ["lambda", "state", "method", "M2", "M2_err", "S_W", "S_W_err"]
-    _write_csv(cfg, header, zip(*rows))
+    _write_csv(cfg, header, (zip(*rows) for rows in nested))
 
 
 def build_parser() -> argparse.ArgumentParser:

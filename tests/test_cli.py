@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stdout
 from dataclasses import fields, replace
@@ -187,11 +188,15 @@ def expected_csv(cfg, header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def written_csv(header, columns) -> str:
+def written_csv(header, columns, blocks=None) -> str:
+    """What `_write_csv` writes of `blocks` (one block of `columns` by default).
+
+    It must be `expected_csv` of the whole columns.
+    """
     cfg = ExperimentConfig("husimi", seed=5, out="-")
     buf = io.StringIO()
     with redirect_stdout(buf):
-        _write_csv(cfg, header, columns)
+        _write_csv(cfg, header, [columns] if blocks is None else blocks)
     assert buf.getvalue() == expected_csv(cfg, header, columns)
     return buf.getvalue()
 
@@ -208,7 +213,7 @@ def test_csv_writer_matches_per_value_format(tmp_path):
     ]
     header = ["a", "b", "c", "d", "e", "f", "g"]
     cfg = ExperimentConfig("husimi", seed=5, out=str(tmp_path / "w.csv"))
-    _write_csv(cfg, header, columns)
+    _write_csv(cfg, header, [columns])
     expected = expected_csv(cfg, header, columns)
     assert (tmp_path / "w.csv").read_bytes() == expected.encode()
 
@@ -253,11 +258,43 @@ def test_csv_writer_without_rows_writes_the_header():
 @given(
     st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=6),
     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=40),
+    st.lists(st.integers(0, 40), max_size=6),
 )
-def test_csv_writer_matches_per_value_format_on_repeated_floats(values, picks):
+def test_csv_writer_matches_per_value_format_on_repeated_floats(values, picks, cuts):
+    # any split of the rows into consecutive blocks, empty ones included,
+    # writes the bytes of the whole columns
     values = np.array(values)
     columns = [values[[p[i] % len(values) for p in picks]] for i in (0, 1)]
-    written_csv(["a", "b"], columns)
+    edges = [0, *sorted(min(c, len(picks)) for c in cuts), len(picks)]
+    blocks = [[col[a:b] for col in columns] for a, b in zip(edges, edges[1:])]
+    written_csv(["a", "b"], columns, blocks)
+
+
+def test_csv_writer_memory_scales_with_the_block_not_the_table(tmp_path):
+    # 12 blocks shaped like the maps of `cmd_husimi` at a 128-point grid:
+    # tiled axes, constant columns and about 6.6k distinct Q values each
+    axis = np.linspace(-1.5, 1.5, 128)
+    x1, x2 = (g.ravel() for g in np.meshgrid(axis, axis, indexing="ij"))
+    rng = np.random.default_rng(0)
+    blocks = []
+    for i in range(12):
+        q = np.resize(rng.random(6_600), x1.size)
+        n = q.size
+        blocks.append([
+            np.full(n, 0.1 * i), np.full(n, "00"), x1, x2, q, np.full(n, 4),
+        ])
+    cfg = ExperimentConfig("husimi", seed=5, out=str(tmp_path / "m.csv"))
+    header = ["lambda", "parity", "x1", "x2", "Q", "humps"]
+
+    def peak(blocks) -> int:
+        tracemalloc.start()
+        try:
+            _write_csv(cfg, header, blocks)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(blocks) <= 1.5 * peak(blocks[:1])
 
 
 def test_digest_hashes_only_the_settings_read():
@@ -617,8 +654,7 @@ def test_unwritable_out_is_a_config_error_before_the_sweep(tmp_path, capsys, mon
     assert main(args + [str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"config error: cannot write {out}: its directory does not exist\n"
-    # a path that exists but cannot be opened for writing fails when written
-    monkeypatch.undo()
+    # nor is a directory written to
     assert main(args + [str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")
 
@@ -629,6 +665,33 @@ def test_stdout_output():
         rc = main(["spectrum", "--N", "8", "--lambda-values", "0.2", "--levels", "2"])
     assert rc == 0
     assert buffer.getvalue().startswith("# quditcat=")
+
+
+def test_husimi_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, monkeypatch):
+    # 8 maps, one block each: no block boundary may lose or add a newline
+    calls = []
+
+    def keep_blocks(cfg, header, blocks):
+        blocks = list(blocks)
+        calls.append((cfg, header, blocks))
+        _write_csv(cfg, header, blocks)
+
+    monkeypatch.setattr(quditcat.cli, "_write_csv", keep_blocks)
+    args = [
+        "husimi", "--N", "8", "--grid-points", "64", "--lambda-values", "0.25,3.0",
+        "--parity", "00,10,01,11",
+    ]
+    buffer = io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(buffer):
+        warnings.simplefilter("ignore")
+        assert main(args) == 0
+    out = tmp_path / "h.csv"
+    assert run_cli(args, out) == 0
+    assert out.read_bytes() == buffer.getvalue().encode()
+    cfg, header, blocks = calls[0]
+    assert len(blocks) == 8
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    assert buffer.getvalue() == expected_csv(cfg, header, columns)
 
 
 def test_branch_centers_structure():
