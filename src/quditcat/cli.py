@@ -55,8 +55,8 @@ from .variational import (
     TRACKED_STATES,
     branch_centers,
     critical_point,
-    fidelity,
     maximize_overlap,
+    overlap_objective,
     variational_cat,
 )
 
@@ -253,6 +253,8 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(command=args.command, **fields)
     if cfg.D < 2:
         raise ConfigError("need at least two levels")
+    if cfg.D != 3 and cfg.command != "spectrum":
+        raise ConfigError("only spectrum takes a --D other than 3; the rest use D = 3 forms")
     for label in cfg.parities or ():
         if len(label) != cfg.D - 1:
             raise ConfigError(
@@ -266,7 +268,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(f"--N takes one particle number for {cfg.command}")
     if cfg.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {cfg.workers}")
-    if cfg.command in ("localization",) and cfg.seed is None:
+    if "seed" in SETTINGS_READ[cfg.command] and cfg.seed is None:
         raise ConfigError(f"command {cfg.command!r} uses Monte-Carlo; --seed is required")
     # checked before the sweep, which would otherwise run only to fail at the end
     if cfg.out != "-" and not Path(cfg.out).parent.is_dir():
@@ -361,21 +363,20 @@ def cmd_spectrum(cfg: ExperimentConfig) -> None:
 
 
 def cmd_fidelity(cfg: ExperimentConfig) -> None:
-    if cfg.D != 3:
-        raise ConfigError("the fidelity sweep uses the D = 3 variational forms")
     N = cfg.N[0]
     basis = shared_basis(3, N)
 
     def rows_for(lam: float):
         lam = float(lam)
+        # a negative coupling is rejected here, before the solve
+        cp = critical_point(1.0, lam)
         params = LMGParams(3, N, 1.0, lam)
         spec = diagonalize(build_hamiltonian(params, basis), basis, k=1)
-        cp = critical_point(1.0, lam)
         out = []
         for state_idx, label in TRACKED_STATES.items():
             target = spec.ground_states[label]
-            cat = variational_cat(lam, label, params, basis)
-            f_crit = fidelity(cat, target)
+            # the critical cat's fidelity in closed form, with no cat built
+            f_crit = overlap_objective(target, label)((cp.z1, cp.z2))
             z_max, f_max = maximize_overlap(
                 target, label, extra_starts=[(cp.z1, cp.z2)]
             )
@@ -390,8 +391,6 @@ def cmd_fidelity(cfg: ExperimentConfig) -> None:
 
 
 def cmd_husimi(cfg: ExperimentConfig) -> None:
-    if cfg.D != 3:
-        raise ConfigError("Husimi maps are emitted for D = 3")
     N = cfg.N[0]
     basis = shared_basis(3, N)
     grid = HusimiGridSpec(cfg.grid_points, cfg.grid_half_range, cfg.grid_slice)
@@ -420,8 +419,6 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
 
 
 def cmd_localization(cfg: ExperimentConfig) -> None:
-    if cfg.D != 3:
-        raise ConfigError("localization sweeps use the D = 3 variational forms")
     tasks = [
         (i, lam, N, label)
         for i, (lam, N, label) in enumerate(
@@ -434,18 +431,16 @@ def cmd_localization(cfg: ExperimentConfig) -> None:
         lam = float(lam)
         basis = shared_basis(3, N)
         params = LMGParams(3, N, 1.0, lam)
-        centers = branch_centers(3, lam) if cfg.method == "importance_mc" else None
+        # everything that can reject a setting comes before the solve
+        cat = variational_cat(lam, label, params, basis)
+        centers = branch_centers(lam) if cfg.method == "importance_mc" else None
+        integration = cfg.integration(cfg.seed + 1_000_003 * idx)
         H = build_hamiltonian(params, basis)
         ground = diagonalize(H, basis, k=1, sector=label).ground_states[label]
         out = []
-        for kind, state in (
-            ("variational", variational_cat(lam, label, params, basis)),
-            ("numerical", ground),
-        ):
+        for kind, state in (("variational", cat), ("numerical", ground)):
             m2 = moment_analytic(state, 2)
-            sw, sw_err = wehrl_entropy(
-                state, cfg.integration(cfg.seed + 1_000_003 * idx), centers
-            )
+            sw, sw_err = wehrl_entropy(state, integration, centers)
             out.append(
                 [lam, f"{_bits(label)}:N={N}", kind, m2.value, m2.std_error, sw, sw_err]
             )

@@ -328,7 +328,7 @@ def _dscs_sampler(w, N: int):
     with the branch unitary of w computed once."""
     w = np.asarray(w, dtype=complex)
     D = w.shape[0] + 1
-    U = _branch_unitary(w) if np.any(w) else None
+    U = _branch_unitary(w)
 
     def sample(rng: np.random.Generator, size: int) -> np.ndarray:
         def centred(n):
@@ -339,8 +339,6 @@ def _dscs_sampler(w, N: int):
                 [np.ones((n, 1), dtype=complex), v / np.sqrt(s)[:, None]], axis=1
             )
 
-        if U is None:
-            return centred(size)[:, 1:]
         return _affine_points(lambda n: centred(n) @ U.T, size)
 
     return sample

@@ -57,7 +57,7 @@ def check_commutators(max_D: int = 4, max_N: int = 6, tol: float = 1e-12) -> Non
             assert err <= tol, f"commutator failed at D={D}, ({i}{j},{k}{l}): {err}"
 
 
-def check_projectors(D: int = 4, N: int = 7, seed: int = 5) -> None:
+def check_projectors(D: int = 4, N: int = 7) -> None:
     """Sector masks are idempotent, orthogonal, and complete, exactly."""
     basis = FockBasis(D, N)
     masks = [sector_mask(basis, c) for c in all_parity_labels(D)]
@@ -133,7 +133,7 @@ CHECKS = [
 ]
 
 
-def run_selftest(verbose: bool = True) -> bool:
+def run_selftest() -> bool:
     """Run every invariant check; returns True when all pass."""
     ok = True
     for name, check in CHECKS:
@@ -145,6 +145,5 @@ def run_selftest(verbose: bool = True) -> bool:
             detail = f": {exc}"
             tag = "FAIL"
             ok = False
-        if verbose:
-            print(f"[{tag}] {name}{detail}")
+        print(f"[{tag}] {name}{detail}")
     return ok

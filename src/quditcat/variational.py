@@ -103,10 +103,8 @@ def critical_point(epsilon: float, lam: float) -> CriticalPoint:
     return CriticalPoint(float(z1), float(z2), "III", lam)
 
 
-def branch_centers(D: int, lam: float, epsilon: float = 1.0) -> np.ndarray:
+def branch_centers(lam: float, epsilon: float = 1.0) -> np.ndarray:
     """Distinct sign flips of the critical point, the cat's branch points, ascending."""
-    if D != 3:
-        raise ValueError("branch centers use the D = 3 critical point")
     cp = critical_point(epsilon, lam)
     z = np.array([cp.z1, cp.z2])
     # + 0.0 turns the -0.0 of a flipped zero coordinate into +0.0

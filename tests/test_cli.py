@@ -29,10 +29,17 @@ from quditcat.cli import (
     ExperimentConfig,
     _build_config,
     _write_csv,
+    _bits,
     build_parser,
     main,
 )
-from quditcat.variational import branch_centers, critical_point
+from quditcat.variational import (
+    TRACKED_STATES,
+    branch_centers,
+    critical_point,
+    fidelity,
+    variational_cat,
+)
 
 
 def run_cli(args, out_path):
@@ -644,10 +651,11 @@ def test_bad_value_fails_alike_from_flag_and_file(tmp_path, capsys, key, value, 
     assert not out.exists()
 
 
-def test_unwritable_out_is_a_config_error_before_the_sweep(tmp_path, capsys, monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the sweep ran")
+def no_solve(*args, **kwargs):
+    raise AssertionError("the sweep ran")
 
+
+def test_unwritable_out_is_a_config_error_before_the_sweep(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(quditcat.cli, "diagonalize", no_solve)
     out = tmp_path / "missing" / "s.csv"
     args = ["spectrum", "--N", "8", "--lambda-values", "1.0", "--out"]
@@ -657,6 +665,74 @@ def test_unwritable_out_is_a_config_error_before_the_sweep(tmp_path, capsys, mon
     # nor is a directory written to
     assert main(args + [str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("command", ["fidelity", "husimi", "localization"])
+def test_only_spectrum_takes_another_D(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(quditcat.cli, "shared_basis", no_solve)
+    monkeypatch.setattr(quditcat.cli, "diagonalize", no_solve)
+    args = [command, "--D", "4", "--N", "6", "--lambda-values", "1.0", "--seed", "1"]
+    assert run_cli(args, tmp_path / "x.csv") == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: only spectrum takes a --D other than 3; the rest use D = 3 forms\n"
+    )
+
+
+def test_spectrum_takes_another_D(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["spectrum", "--D", "4", "--N", "4", "--lambda-values", "1.0", "--levels", "2"]
+    assert run_cli(args, out) == 0
+    _, rows = read_csv(out)
+    assert len(rows[0]["parity0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["fidelity", "--N", "200", "--lambda-values", "-0.5"], "non-negative"),
+        (["localization", "--N", "400", "--seed", "1", "--samples", "10",
+          "--lambda-values", "1.0"], "1000 samples"),
+        (["localization", "--N", "400", "--seed", "1", "--samples", "10",
+          "--lambda-values", "1.0", "--batch", "0"], "1000 samples"),
+        (["localization", "--N", "400", "--seed", "1", "--batch", "0",
+          "--lambda-values", "1.0"], "batch size"),
+    ],
+    ids=["negative-coupling", "few-samples", "few-samples-batch-0", "batch-0"],
+)
+def test_bad_setting_is_reported_before_the_first_solve(
+    tmp_path, capsys, monkeypatch, args, named
+):
+    monkeypatch.setattr(quditcat.cli, "diagonalize", no_solve)
+    assert run_cli(args, tmp_path / "x.csv") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+
+
+def test_fidelity_sweep_builds_no_cat(tmp_path, monkeypatch):
+    # F_at_critical is the closed form of the search's objective at the
+    # critical point; it matches the fidelity of the built cat, reduced
+    # cats of phases I and II included
+    lams = (0.3, 1.0, 2.5)
+    expected = {}
+    for lam in lams:
+        basis = quditcat.cli.shared_basis(3, 8)
+        params = quditcat.lmg.LMGParams(3, 8, 1.0, lam)
+        spec = quditcat.lmg.diagonalize(
+            quditcat.lmg.build_hamiltonian(params, basis), basis, k=1
+        )
+        for label in TRACKED_STATES.values():
+            cat = variational_cat(lam, label, params, basis)
+            expected[lam, _bits(label)] = fidelity(cat, spec.ground_states[label])
+
+    monkeypatch.setattr(quditcat.variational, "dcat", no_solve)
+    out = tmp_path / "fidelity.csv"
+    args = ["fidelity", "--N", "8", "--lambda-values", ",".join(map(str, lams))]
+    assert run_cli(args, out) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == len(expected)
+    for row in rows:
+        want = expected[float(row["lambda"]), row["parity"]]
+        assert abs(float(row["F_at_critical"]) - want) <= 1e-15
 
 
 def test_stdout_output():
@@ -698,15 +774,15 @@ def test_branch_centers_structure():
     # the importance-sampling stream depends on the order of the centers and
     # on the sign of their zeros, so both are pinned exactly
     z1 = critical_point(1.0, 1.0).z1
-    assert np.array_equal(branch_centers(3, 0.1), [[0.0, 0.0]])
-    assert np.array_equal(branch_centers(3, 1.0), [[-z1, 0.0], [z1, 0.0]])
+    assert np.array_equal(branch_centers(0.1), [[0.0, 0.0]])
+    assert np.array_equal(branch_centers(1.0), [[-z1, 0.0], [z1, 0.0]])
     cp = critical_point(1.0, 2.5)
     z1, z2 = cp.z1, cp.z2
     assert np.array_equal(
-        branch_centers(3, 2.5), [[-z1, -z2], [-z1, z2], [z1, -z2], [z1, z2]]
+        branch_centers(2.5), [[-z1, -z2], [-z1, z2], [z1, -z2], [z1, z2]]
     )
     for lam in (0.1, 1.0, 2.5):
-        centers = branch_centers(3, lam)
+        centers = branch_centers(lam)
         assert centers.dtype == complex
         parts = np.concatenate([centers.real.ravel(), centers.imag.ravel()])
         assert not np.any(np.signbit(parts[parts == 0.0]))

@@ -520,7 +520,7 @@ def test_expectation_is_independent_of_the_block_budget(
     # 2 * 21 + 21 elements at N = 20, so the budgets give 11, 6, 1 and 1 blocks
     cat = dcat(basis_3_20, CatSpec([0.7, 0.5], (0, 0), 20))
     spec = IntegrationSpec(method, samples=1003, seed=5, batch=100)
-    centers = branch_centers(3, 2.5) if method == "importance_mc" else None
+    centers = branch_centers(2.5) if method == "importance_mc" else None
     per_sample = 2 * 21 + 21
     budgets = {
         "one batch per block": 1,
@@ -547,7 +547,7 @@ def test_expectation_is_independent_of_the_block_budget(
 def test_expectation_calls_the_kernel_once_per_block(monkeypatch):
     basis = shared_basis(3, 50)
     cat = dcat(basis, CatSpec([1.0, 0.8], (0, 0), 50))
-    centers = branch_centers(3, 2.5)
+    centers = branch_centers(2.5)
     rows = quditcat.husimi._chunk_rows(basis, quditcat.husimi._BLOCK_ELEMENTS)
     assert rows == 250_000 // (2 * 51 + 51)
     calls = _counted_kernel(monkeypatch)
