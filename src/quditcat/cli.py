@@ -42,7 +42,6 @@ from .husimi import (
     INTEGRATION_METHODS,
     HusimiGridSpec,
     IntegrationSpec,
-    count_humps,
     count_map_humps,
     husimi_grid,
     moment_analytic,
@@ -402,10 +401,8 @@ def cmd_husimi(cfg: ExperimentConfig) -> None:
         params = LMGParams(3, N, 1.0, lam)
         cat = variational_cat(lam, label, params, basis)
         pts, q = husimi_grid(cat, grid)
-        if grid == count_grid:
-            humps = count_map_humps(q.reshape(grid.points, grid.points))
-        else:
-            humps = count_humps(cat, count_grid)
+        position = q if grid == count_grid else husimi_grid(cat, count_grid)[1]
+        humps = count_map_humps(position.reshape(grid.points, grid.points))
         n = len(q)
         return [
             np.full(n, lam), np.full(n, _bits(label)), pts[:, 0], pts[:, 1], q,

@@ -35,9 +35,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .coherent import SymmetricState
-from .fock import CapacityError, FockBasis, basis_size, log_multinomial
+from .fock import CapacityError, FockBasis, basis_size, shared_basis
 
 DEFAULT_MOMENT_CAP = 10_000_000
 
@@ -451,9 +452,11 @@ def moment_analytic(
     """Exact nu-th Husimi moment of a normalized state.
 
     Forms the amplitude polynomial p_n = sqrt(N!/prod n_i!) c_n on the
-    (n_1, ..., n_{D-1}) grid, convolves it nu times, and contracts the
-    squared coefficients with the multinomial norms of the N*nu particle
-    sector.  All weights are carried in log space with a single scale
+    (n_1, ..., n_{D-1}) grid and convolves it nu times, one product with
+    a Toeplitz matrix per non-zero line of p along its last axis.  The
+    result is a state of N*nu particles: its coefficients, read at the
+    occupations of that Fock basis, are contracted with its multinomial
+    norms.  All weights are carried in log space with a single scale
     offset so the method works unchanged at N in the hundreds.
     """
     if int(nu) != nu or nu < 2:
@@ -473,35 +476,31 @@ def moment_analytic(
     if np.all(grid.imag == 0.0):
         grid = grid.real
 
-    # exact convolution by shifted accumulation over the occupied simplex
-    # cells only; an FFT here would smear its absolute error across the
-    # huge dynamic range of the coefficients and break the 1e-10 contract
-    kernel_idx = basis.states[:, 1:]
-    kernel_vals = grid[tuple(kernel_idx.T)]
-    occupied = kernel_vals != 0.0
-    kernel_idx = kernel_idx[occupied]
-    kernel_vals = kernel_vals[occupied]
+    # exact convolution as sums of products: each non-zero line of the grid
+    # along its last axis acts as the Toeplitz matrix T[a, b] = line[b - a];
+    # an FFT here would smear its absolute error across the huge dynamic
+    # range of the coefficients and break the 1e-10 contract
     result = grid
     for step in range(1, nu):
-        out = np.zeros((step * N + N + 1,) * (D - 1), dtype=result.dtype)
-        for val, idx in zip(kernel_vals, kernel_idx):
-            window = tuple(
-                slice(int(i), int(i) + result.shape[d]) for d, i in enumerate(idx)
-            )
-            out[window] += val * result
+        R = step * N + 1
+        out = np.zeros((R + N,) * (D - 1), dtype=result.dtype)
+        for idx in np.ndindex(grid.shape[:-1]):
+            if np.any(grid[idx] != 0.0):
+                T = sliding_window_view(np.pad(grid[idx], R - 1), R + N)[::-1]
+                out[tuple(slice(i, i + R) for i in idx)] += result @ T
         result = out
     if not np.all(np.isfinite(result)):
         raise FloatingPointError(f"moment convolution of order {nu} is not finite")
 
-    ks = np.indices(result.shape, dtype=np.int64)
-    ksum = ks.sum(axis=0)
-    k0 = M - ksum
-    valid = (k0 >= 0) & (np.abs(result) > 0.0)
+    power = shared_basis(D, M)
+    coeffs = np.abs(result[tuple(power.states[:, 1:].T)])
+    valid = coeffs > 0.0
     if not np.any(valid):
         return MomentReport(0.0, 0.0, "analytic")
-    log_w = -log_multinomial(np.stack([k0[valid], *(k[valid] for k in ks)], axis=1))
-    log_terms = 2.0 * np.log(np.abs(result[valid])) + 2.0 * nu * scale + log_w
-    log_ratio = math.log(basis_size(D, N)) - math.log(basis_size(D, M))
+    log_terms = (
+        2.0 * np.log(coeffs[valid]) + 2.0 * nu * scale - power.log_multinomials[valid]
+    )
+    log_ratio = math.log(basis.size) - math.log(power.size)
     value = float(np.exp(_logsumexp(log_terms) + log_ratio))
     return MomentReport(value, 0.0, "analytic")
 

@@ -168,9 +168,7 @@ def test_husimi_map_evaluated_once(tmp_path, monkeypatch, grid_slice, per_map):
         calls.append(spec.slice)
         return grid(state, spec)
 
-    # the CLI's own name for the map, and the module global count_humps uses
     monkeypatch.setattr(quditcat.cli, "husimi_grid", counted)
-    monkeypatch.setattr(quditcat.husimi, "husimi_grid", counted)
     args = ["husimi", "--N", "8", "--lambda-values", "0.3,2.5", "--parity", "00",
             "--grid-points", "64", "--grid-slice", grid_slice]
     assert run_cli(args, tmp_path / "h.csv") == 0

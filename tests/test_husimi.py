@@ -9,7 +9,13 @@ from scipy.special import logsumexp
 
 import quditcat.husimi
 from quditcat.coherent import SymmetricState, dscs, dscs_coefficients
-from quditcat.fock import CapacityError, exact_multinomial, shared_basis
+from quditcat.fock import (
+    CapacityError,
+    basis_size,
+    exact_multinomial,
+    log_multinomial,
+    shared_basis,
+)
 from quditcat.husimi import (
     HusimiGridSpec,
     IntegrationSpec,
@@ -30,8 +36,9 @@ from quditcat.husimi import (
     sample_dscs_husimi,
     wehrl_entropy,
 )
+from quditcat.lmg import LMGParams
 from quditcat.parity import CatSpec, all_parity_labels, dcat
-from quditcat.variational import branch_centers
+from quditcat.variational import branch_centers, variational_cat
 
 from conftest import random_phase_point
 
@@ -381,15 +388,57 @@ def test_moment_analytic_z_independent(basis_3_10, rng):
 
 
 def test_moment_analytic_matches_closed_form_grid(rng):
-    for D in (2, 3, 4):
-        for N in (1, 5, 20):
-            basis = shared_basis(D, N)
-            z = random_phase_point(rng, D)
-            state = dscs(basis, z)
-            for nu in (2, 3):
-                got = moment_analytic(state, nu).value
-                expected = dscs_moment_exact(D, N, nu)
-                assert abs(got - expected) < 1e-10 * expected
+    # D = 5 runs the line products over three leading axes
+    for D, N in [*itertools.product((2, 3, 4), (1, 5, 20)), (5, 8)]:
+        basis = shared_basis(D, N)
+        z = random_phase_point(rng, D)
+        state = dscs(basis, z)
+        for nu in (2, 3):
+            got = moment_analytic(state, nu).value
+            expected = dscs_moment_exact(D, N, nu)
+            assert abs(got - expected) < 1e-10 * expected
+
+
+def test_moment_analytic_matches_closed_form_at_large_N():
+    # complex z puts weight in all four parity classes
+    state = dscs(shared_basis(3, 150), [0.7 - 0.4j, -0.3 + 0.9j])
+    expected = dscs_moment_exact(3, 150, 2)
+    assert abs(moment_analytic(state, 2).value - expected) < 1e-10 * expected
+
+
+def entrywise_moment(state, nu):
+    """The moment by shifted accumulation, one grid entry at a time."""
+    basis = state.basis
+    N, D, M = basis.N, basis.D, basis.N * nu
+    p, scale = quditcat.husimi._amplitude_weights(state)
+    grid = quditcat.husimi._weight_grid(basis, p)
+    kernel_idx = basis.states[:, 1:]
+    kernel_vals = grid[tuple(kernel_idx.T)]
+    result = grid
+    for step in range(1, nu):
+        out = np.zeros((step * N + N + 1,) * (D - 1), dtype=result.dtype)
+        for val, idx in zip(kernel_vals, kernel_idx):
+            if val != 0.0:
+                window = tuple(slice(i, i + result.shape[d]) for d, i in enumerate(idx))
+                out[window] += val * result
+        result = out
+    ks = np.indices(result.shape, dtype=np.int64)
+    k0 = M - ks.sum(axis=0)
+    valid = (k0 >= 0) & (np.abs(result) > 0.0)
+    log_w = -log_multinomial(np.stack([k0[valid], *(k[valid] for k in ks)], axis=1))
+    log_terms = 2.0 * np.log(np.abs(result[valid])) + 2.0 * nu * scale + log_w
+    log_ratio = math.log(basis.size) - math.log(basis_size(D, M))
+    return float(np.exp(quditcat.husimi._logsumexp(log_terms) + log_ratio))
+
+
+@pytest.mark.parametrize(
+    "N, nu, label", [(120, 2, (0, 0)), (50, 3, (0, 0)), (60, 2, (1, 1))]
+)
+def test_moment_analytic_matches_the_entrywise_convolution(N, nu, label):
+    params = LMGParams(3, N, 1.0, 2.5)
+    cat = variational_cat(2.5, label, params, shared_basis(3, N))
+    expected = entrywise_moment(cat, nu)
+    assert abs(moment_analytic(cat, nu).value - expected) < 1e-13 * expected
 
 
 def test_cat_moments_approach_quarter_of_dscs():
