@@ -29,6 +29,7 @@ form at finite N.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -118,10 +119,12 @@ class HusimiGridSpec:
         return np.linspace(-self.half_range, self.half_range, self.points)
 
 
-def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
+def husimi_values(state: SymmetricState | _KernelState, zs: np.ndarray) -> np.ndarray:
     """Q(z) = |<z|psi>|^2 for a batch of phase points, shape (m, D-1).
 
-    Evaluates the amplitude polynomial <z|psi> = sum_n w_n conj(u)^n,
+    `state` is a SymmetricState, or the `_KernelState` an integral
+    prepares once for all of its blocks.  Evaluates the amplitude
+    polynomial <z|psi> = sum_n w_n conj(u)^n,
     w_n = sqrt(N!/prod n_i!) psi_n, at the unit homogeneous vector
     u = (1, z)/|(1, z)|.  Each sample factors out its largest coordinate
     u_p, leaving conj(u_p)^N P_p(conj r) with ratios r_k = u_k/u_p of
@@ -147,28 +150,48 @@ def husimi_values(state: SymmetricState, zs: np.ndarray) -> np.ndarray:
     past that a state can make it overflow, which raises
     FloatingPointError.
     """
+    kernel = state if isinstance(state, _KernelState) else _KernelState(state)
     zs = np.asarray(zs, dtype=complex)
     if zs.ndim == 1:
         zs = zs[None, :]
-    basis = state.basis
+    basis = kernel.basis
     N = basis.N
     hom = np.concatenate([np.ones((zs.shape[0], 1), dtype=complex), zs], axis=1)
     pivots = np.argmax(np.abs(hom), axis=1)
     chunk = _chunk_rows(basis, _CHUNK_ELEMENTS)
     out = np.empty(zs.shape[0])
-    # a weight, a term or a Q below the smallest double is 0 within the
-    # absolute error contract, so underflow is no failure here; the
-    # prefactor overflows only past (N/2) ln D = 709 (notes/decisions.md),
-    # and there it must fail rather than clamp Q to 1
+    # a term or a Q below the smallest double is 0 within the absolute
+    # error contract, so underflow is no failure here; the prefactor
+    # overflows only past (N/2) ln D = 709 (notes/decisions.md), and there
+    # it must fail rather than clamp Q to 1
     with np.errstate(under="ignore", over="raise"):
-        weights, scale = _amplitude_weights(state)
-        grids = {p: _sector_grids(basis, weights, p) for p in np.unique(pivots)}
+        grids = {p: kernel.grids(p) for p in np.unique(pivots)}
         for start in range(0, zs.shape[0], chunk):
             for p, (classes, grid) in grids.items():
                 rows = start + np.nonzero(pivots[start : start + chunk] == p)[0]
                 if rows.size:
-                    out[rows] = _pivot_husimi(hom[rows], p, classes, grid, scale, N)
+                    out[rows] = _pivot_husimi(hom[rows], p, classes, grid, kernel.scale, N)
     return np.minimum(out, 1.0)
+
+
+class _KernelState:
+    """What `husimi_values` reads of a state: its basis, its weights and
+    scale (`_amplitude_weights`) and, built on first use, each pivot's
+    class grids (`_sector_grids`).  An integral builds one and passes it
+    to every block, so none of them is rebuilt per block."""
+
+    def __init__(self, state: SymmetricState):
+        self.basis = state.basis
+        # a weight below the smallest double is 0 within the kernel's
+        # absolute error contract
+        with np.errstate(under="ignore"):
+            self.weights, self.scale = _amplitude_weights(state)
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def grids(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        if p not in self._grids:
+            self._grids[p] = _sector_grids(self.basis, self.weights, p)
+        return self._grids[p]
 
 
 def _chunk_rows(basis: FockBasis, elements: int) -> int:
@@ -391,59 +414,90 @@ def phase_space_expectation(
     run can pass the budget by at most as many samples as it has
     batches.  Every sample's f(Q) and mixture density are independent of
     its run mates, so the result does not depend on the block budget.
+
+    Integrals with equal spec, centers and basis share one draw: the
+    samples and their mixture density are drawn once (`_draws`) and read
+    by each state integrated after, as the localization sweep does for a
+    coupling's cat and ground state.  The state's kernel weights are
+    prepared once per integral and read by every run.
     """
     basis = state.basis
-    dim = basis.size
     if spec.method == "importance_mc":
         if centers is None or len(centers) == 0:
             raise ValueError("importance_mc requires at least one branch center")
         centers = np.asarray(centers, dtype=complex).reshape(-1, basis.D - 1)
-        samplers = [_dscs_sampler(w, basis.N) for w in centers]
-
-    n_batches = max(2, -(-spec.samples // spec.batch))
-    # the first `extra` batches hold one sample more than the rest
-    smallest, extra = divmod(spec.samples, n_batches)
-    sizes = np.full(n_batches, smallest)
-    sizes[:extra] += 1
-    streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
-
-    def draw(n_b, ss):
-        rng = np.random.default_rng(ss)
-        if spec.method == "haar_mc":
-            return haar_sample(basis.D, rng, n_b)
-        which = rng.integers(0, centers.shape[0], n_b)
-        zs = np.empty((n_b, basis.D - 1), dtype=complex)
-        for idx, sample in enumerate(samplers):
-            mask = which == idx
-            if np.any(mask):
-                zs[mask] = sample(rng, int(mask.sum()))
-        return zs
-
-    def weighted(zs):
-        vals = integrand(husimi_values(state, zs))
-        if spec.method == "haar_mc":
-            return dim * vals
-        log_p = _logsumexp(
-            _log_branch_husimi(zs, centers, basis.N), axis=1
-        ) - np.log(centers.shape[0])
-        return vals * np.exp(-log_p)
-
-    # runs of as many whole consecutive batches as the budget holds of the
-    # smallest one, at least one batch per run
-    per_run = max(1, _chunk_rows(basis, _BLOCK_ELEMENTS) // smallest)
+        centers = tuple(centers.ravel().tolist())
+    else:
+        centers = None
+    rows = _chunk_rows(basis, _BLOCK_ELEMENTS)
+    sizes, runs = _draws(spec, centers, basis.D, basis.N, rows)
+    kernel = _KernelState(state)
     sums = []
-    for first in range(0, n_batches, per_run):
-        run = slice(first, first + per_run)
-        zs = np.concatenate([draw(n_b, ss) for n_b, ss in zip(sizes[run], streams[run])])
-        sums.extend(map(np.sum, np.split(weighted(zs), np.cumsum(sizes[run])[:-1])))
+    for zs, inv_density, cuts in runs:
+        vals = integrand(husimi_values(kernel, zs))
+        vals = basis.size * vals if inv_density is None else vals * inv_density
+        sums.extend(map(np.sum, np.split(vals, cuts)))
 
     sums = np.asarray(sums)
+    n_batches = len(sizes)
     total = sums.sum()
     n = sizes.sum()
     estimate = total / n
     loo = (total - sums) / (n - sizes)
     se = math.sqrt((n_batches - 1) / n_batches * float(np.sum((loo - loo.mean()) ** 2)))
     return estimate, se
+
+
+@functools.lru_cache(maxsize=1)
+def _draws(spec: IntegrationSpec, centers: tuple | None, D: int, N: int, rows: int):
+    """The samples of `phase_space_expectation`, grouped in runs of batches.
+
+    `centers` is None for haar_mc, else the flattened branch centers, and
+    `rows` is the run budget in samples, `_chunk_rows(basis,
+    _BLOCK_ELEMENTS)`.  Returns the batch sizes and, per run of whole
+    consecutive batches, its samples zs, their inverse mixture density
+    1/p(z) (None for haar_mc) and the cut points of its batches.  The last
+    key is memoized, so the integrals of a coupling's states draw once;
+    the arrays are read-only, since every caller gets the same ones.
+    """
+    n_batches = max(2, -(-spec.samples // spec.batch))
+    # the first `extra` batches hold one sample more than the rest
+    smallest, extra = divmod(spec.samples, n_batches)
+    sizes = np.full(n_batches, smallest)
+    sizes[:extra] += 1
+    streams = np.random.SeedSequence(spec.seed).spawn(n_batches)
+    if centers is not None:
+        centers = np.array(centers, dtype=complex).reshape(-1, D - 1)
+        samplers = [_dscs_sampler(w, N) for w in centers]
+
+    def draw(n_b, ss):
+        rng = np.random.default_rng(ss)
+        if centers is None:
+            return haar_sample(D, rng, n_b)
+        which = rng.integers(0, centers.shape[0], n_b)
+        zs = np.empty((n_b, D - 1), dtype=complex)
+        for idx, sample in enumerate(samplers):
+            mask = which == idx
+            if np.any(mask):
+                zs[mask] = sample(rng, int(mask.sum()))
+        return zs
+
+    # runs of as many whole consecutive batches as the budget holds of the
+    # smallest one, at least one batch per run
+    per_run = max(1, rows // smallest)
+    runs = []
+    for first in range(0, n_batches, per_run):
+        run = slice(first, first + per_run)
+        zs = np.concatenate([draw(n_b, ss) for n_b, ss in zip(sizes[run], streams[run])])
+        inv_density = None
+        if centers is not None:
+            log_branch = _log_branch_husimi(zs, centers, N)
+            log_p = _logsumexp(log_branch, axis=1) - np.log(centers.shape[0])
+            inv_density = np.exp(-log_p)
+        runs.append((zs, inv_density, np.cumsum(sizes[run])[:-1]))
+    for a in [sizes] + [a for run in runs for a in run if a is not None]:
+        a.flags.writeable = False
+    return sizes, tuple(runs)
 
 
 def moment_analytic(

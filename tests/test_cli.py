@@ -120,8 +120,12 @@ def test_spectrum_deterministic_reruns(tmp_path):
         ["spectrum", "--N", "10", "--lambda-values", "0.2,0.9,1.7", "--levels", "3"],
         ["husimi", "--N", "8", "--lambda-values", "0.3,2.5", "--parity", "00,11",
          "--grid-points", "64"],
+        # threads whose couplings interleave evict each other's shared draw
+        ["localization", "--N", "8", "--lambda-values", "0.3,2.5", "--parity", "00,11",
+         "--method", "importance_mc", "--samples", "2000", "--batch", "250",
+         "--seed", "3"],
     ],
-    ids=["spectrum", "husimi"],
+    ids=["spectrum", "husimi", "localization"],
 )
 def test_pool_output_matches_serial(tmp_path, args):
     serial = tmp_path / "serial.csv"

@@ -610,6 +610,60 @@ def test_expectation_calls_the_kernel_once_per_block(monkeypatch):
     assert calls == [25_000, 25_000]
 
 
+@pytest.mark.parametrize("method", ["haar_mc", "importance_mc"])
+def test_integrals_with_one_spec_and_centers_share_one_draw(
+    basis_3_20, monkeypatch, method
+):
+    draws = quditcat.husimi._draws
+    cat = dcat(basis_3_20, CatSpec([0.7, 0.5], (0, 0), 20))
+    other = dcat(basis_3_20, CatSpec([0.6, 0.3], (1, 1), 20))
+    spec = IntegrationSpec(method, samples=1003, seed=5, batch=100)
+    centers = branch_centers(2.5) if method == "importance_mc" else None
+    blocks = []
+    values = quditcat.husimi.husimi_values
+
+    def recorded(state, zs):
+        blocks.append(zs)
+        return values(state, zs)
+
+    monkeypatch.setattr(quditcat.husimi, "husimi_values", recorded)
+    # what each integral gives from an empty memo
+    cases = {
+        "cat": (cat, spec, centers, None),
+        "other state": (other, spec, centers, None),
+        "new budget": (other, spec, centers, 200 * (2 * 21 + 21)),
+        "new spec": (other, IntegrationSpec(method, 1003, 6, 100), centers, None),
+    }
+    if method == "importance_mc":
+        cases["new centers"] = (other, spec, branch_centers(3.0), None)
+    default = quditcat.husimi._BLOCK_ELEMENTS
+
+    def integrate(state, spec_, centers_, budget):
+        monkeypatch.setattr(quditcat.husimi, "_BLOCK_ELEMENTS", budget or default)
+        return wehrl_entropy(state, spec_, centers_)
+
+    cold = {}
+    for name, case in cases.items():
+        draws.cache_clear()
+        cold[name] = integrate(*case)
+    # the same integrals one after the other, the memo kept between them
+    draws.cache_clear()
+    blocks.clear()
+    for name, case in cases.items():
+        assert integrate(*case) == cold[name], name
+        if name == "other state":
+            # the second state reads the cat's samples, drawn once
+            info = draws.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            assert len(blocks) == 2 and blocks[0] is blocks[1]
+    info = draws.cache_info()
+    assert (info.misses, info.hits) == (len(cases) - 1, 1)
+    # every caller reads the same arrays, so none of them can be written
+    for zs in blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            zs[0, 0] = 0.0
+
+
 # ------------------------------------------------------------- normalization
 
 
